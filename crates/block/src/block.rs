@@ -60,8 +60,8 @@ pub struct Block {
     /// Redirect tombstone left behind after a migration: every op gets
     /// `BlockMoved` pointing at the new home until the block is reused.
     moved_to: Option<Replica>,
-    /// Recently executed `(request id → result)` entries, consulted on
-    /// the replicate path before execution so a retried mutation —
+    /// Recently executed `(request id → result)` entries, consulted
+    /// before execution so a retried mutation —
     /// including one retried against a freshly promoted replica — is
     /// answered instead of re-executed. Guarded by the same mutex as the
     /// partition (the per-block lock in `BlockStore`), which is what

@@ -70,39 +70,33 @@ impl DsCore {
         self.view.read().clone()
     }
 
-    /// Executes a data-plane op against a block, routing writes to the
-    /// chain head (with replication fan-down) and reads to the tail.
+    /// Executes a data-plane op against a block: writes go to the chain
+    /// head as [`DataRequest::Replicate`] with the rest of the chain as
+    /// `downstream` (empty for an unreplicated block — a chain of length
+    /// 1), reads go to the tail as [`DataRequest::Op`].
     ///
     /// `rid` is the request id minted once per *logical operation* by
     /// the caller: transport retries, throttle retries, AND
     /// routing-level retries (a promoted replica after a head failure,
     /// a migrated block's new home) all resend under the same id, so a
-    /// server that already executed the op — or inherited its result
-    /// via the replicated replay window — answers from cache instead of
-    /// applying it twice. The id rides in the envelope (the plain `Op`
-    /// path) and, for replicated writes, explicitly in the `Replicate`
-    /// body so it survives the fan-down re-stamping.
+    /// replica that already executed the write — or inherited its result
+    /// via the replicated, migrated replay window — answers from the
+    /// window instead of applying it twice, whichever connection the
+    /// retry arrives on. Reads are not tracked; they simply re-execute.
     fn data_op(&self, loc: &BlockLocation, op: DsOp, is_write: bool, rid: u64) -> Result<DsResult> {
         let fabric = self.job.client().fabric();
-        let req = if is_write && loc.chain.len() > 1 {
-            let head = loc.head();
+        let replica = if is_write { loc.head() } else { loc.tail() };
+        let block = replica.block;
+        let addr = &replica.addr;
+        let req = if is_write {
             DataRequest::Replicate {
-                block: head.block,
+                block,
                 op,
                 downstream: loc.chain[1..].to_vec(),
                 rid,
             }
         } else {
-            let replica = if is_write { loc.head() } else { loc.tail() };
-            DataRequest::Op {
-                block: replica.block,
-                op,
-            }
-        };
-        let addr = if is_write {
-            &loc.head().addr
-        } else {
-            &loc.tail().addr
+            DataRequest::Op { block, op }
         };
         let tenant = self.job.client().tenant();
         with_throttle_backoff(|| {
@@ -122,10 +116,8 @@ impl DsCore {
                     }
                 },
                 |e| {
-                    // Evict only when the connection itself broke: a timeout
-                    // or injected unavailability leaves the session (and the
-                    // server's per-session replay cache) intact, and retrying
-                    // on the same session is what makes same-id dedup work.
+                    // Re-dial only when the connection itself broke; a
+                    // timeout or injected unavailability leaves it usable.
                     if matches!(e, JiffyError::Rpc(_)) {
                         fabric.evict(addr);
                     }
@@ -134,13 +126,12 @@ impl DsCore {
         })
     }
 
-    /// Issues one [`DataRequest::Batch`] (or, on a replicated chain,
-    /// [`DataRequest::ReplicateBatch`]) against a block, routing like
-    /// [`Self::data_op`] (writes to the chain head, reads to the tail).
-    /// Returns the server's per-op results: a *prefix* of `ops` — the
-    /// server stops at the first failing op, so every entry before the
-    /// last is `Ok` and ops past the returned length were never
-    /// attempted.
+    /// Issues one batch against a block, routing like [`Self::data_op`]:
+    /// writes as [`DataRequest::ReplicateBatch`] to the chain head,
+    /// reads as [`DataRequest::Batch`] to the tail. Returns the server's
+    /// per-op results: a *prefix* of `ops` — the server stops at the
+    /// first failing op, so every entry before the last is `Ok` and ops
+    /// past the returned length were never attempted.
     ///
     /// `rids` carries one request id per op for writes (empty for
     /// reads): ids stay attached to their ops across rounds even when a
@@ -154,33 +145,27 @@ impl DsCore {
         is_write: bool,
     ) -> Result<Vec<Result<DsResult>>> {
         let fabric = self.job.client().fabric();
-        let req = if is_write && loc.chain.len() > 1 {
-            let head = loc.head();
+        let replica = if is_write { loc.head() } else { loc.tail() };
+        let block = replica.block;
+        let addr = &replica.addr;
+        let req = if is_write {
             DataRequest::ReplicateBatch {
-                block: head.block,
+                block,
                 ops: ops.to_vec(),
                 downstream: loc.chain[1..].to_vec(),
                 rids: rids.to_vec(),
             }
         } else {
-            let replica = if is_write { loc.head() } else { loc.tail() };
             DataRequest::Batch {
-                block: replica.block,
+                block,
                 ops: ops.to_vec(),
                 rids: rids.to_vec(),
             }
         };
-        let addr = if is_write {
-            &loc.head().addr
-        } else {
-            &loc.tail().addr
-        };
         let tenant = self.job.client().tenant();
         let expected = ops.len();
-        // One envelope id for the whole batch keeps the per-session
-        // replay cache answering lost-reply transport retries as a
-        // unit; the per-op `rids` inside the body are what survive
-        // regrouping and failover.
+        // The envelope id only correlates the reply; dedup keys on the
+        // per-op `rids` in the body.
         let id = next_request_id();
         with_throttle_backoff(|| {
             self.job.client().retry_policy().run(

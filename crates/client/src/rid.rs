@@ -1,11 +1,13 @@
 //! Client-side request-id allocation.
 //!
-//! Every control and data request carries a non-zero correlation id. Ids
-//! must stay unique across *retries of different requests* on the same
-//! connection, because the server's replay cache (see
-//! [`jiffy_rpc::Deduplicated`]) treats a repeated id as "same request —
-//! replay the cached response". A process-wide counter guarantees that; a
-//! retry of one request deliberately reuses its id.
+//! Every control and data request carries a non-zero id, and a retry of
+//! one request deliberately reuses it: the server side treats a repeated
+//! id as "same request — replay the recorded result". On the data plane
+//! that record is the target block's replay window, which replicates and
+//! migrates with the block, so ids must stay unique across *all* of a
+//! process's requests, not just per connection; on the control plane it
+//! is the controller's per-session [`jiffy_rpc::Deduplicated`] cache. A
+//! process-wide counter serves both.
 //!
 //! The counter starts at [`jiffy_proto::CLIENT_RID_BASE`] so
 //! client-stamped ids can never collide with the per-connection

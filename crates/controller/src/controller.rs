@@ -399,6 +399,8 @@ pub(crate) struct CtrlState {
     /// Latest per-tenant data-plane load reported by each server's
     /// heartbeat. Soft state: rebuilt from heartbeats after recovery.
     pub(crate) server_loads: HashMap<ServerId, Vec<TenantLoad>>,
+    /// Set by [`Controller::halt`]: this instance is dead to the world.
+    pub(crate) halted: bool,
 }
 
 /// Autoscaler wiring: the policy plus the provider that actually
@@ -552,6 +554,7 @@ impl Controller {
                 journal,
                 tenants,
                 server_loads: HashMap::new(),
+                halted: false,
             }),
             dataplane,
             persistent,
@@ -648,6 +651,7 @@ impl Controller {
                 tenants,
                 // Soft state: rebuilt from the next round of heartbeats.
                 server_loads: HashMap::new(),
+                halted: false,
             }),
             dataplane,
             persistent,
@@ -815,6 +819,17 @@ impl Controller {
         out
     }
 
+    /// Fences this instance the way a process death would: waits for
+    /// the request in flight (requests serialize on the state lock) and
+    /// fails every later one with the retryable error of a dark shard. An
+    /// in-process "crash" only unplugs the endpoint; without the fence
+    /// a request the old instance already accepted — a merge a server
+    /// reported just before — keeps running and journals after its
+    /// successor replayed the journal.
+    pub fn halt(&self) {
+        self.state.lock().halted = true;
+    }
+
     /// Handles one control request on behalf of the anonymous tenant
     /// (also reachable through the [`Service`] impl; exposed directly
     /// for in-process callers like the simulator).
@@ -829,6 +844,9 @@ impl Controller {
         let mut deferred_resets: Vec<BlockLocation> = Vec::new();
         let resp = {
             let mut st = self.state.lock();
+            if st.halted {
+                return Err(JiffyError::shard_unavailable(self.shard.index));
+            }
             st.counters.ops_served += 1;
             // Journal appends must run under the state lock so journal
             // order equals mutation order; flush/load object-store

@@ -170,7 +170,12 @@ impl ShardedController {
     /// journal and snapshots stay in the persistent tier; requests
     /// routed to it fail retryably until [`Self::restart_shard`].
     pub fn crash_shard(&self, idx: usize) {
-        *self.slots[idx].write() = None;
+        let old = self.slots[idx].write().take();
+        // Requests clone the shard out of its slot before dispatching;
+        // fence it so none of them commits after the slot went dark.
+        if let Some(shard) = old {
+            shard.halt();
+        }
     }
 
     /// Whether shard `i` is currently up.

@@ -38,14 +38,13 @@ impl ClusterInner {
             self.fabric.clone(),
             self.controller_addr.clone(),
         );
-        let server_svc = Deduplicated::shared(server.clone());
         let addr = if self.tcp {
-            let handle = serve_tcp("127.0.0.1:0", server_svc)?;
+            let handle = serve_tcp("127.0.0.1:0", server.clone())?;
             let addr = handle.addr().to_string();
             self.tcp_handles.lock().push(handle);
             addr
         } else {
-            self.fabric.hub().register(server_svc)
+            self.fabric.hub().register(server.clone())
         };
         let id = server.register(&addr, blocks)?;
         server.start_heartbeats();
@@ -249,9 +248,10 @@ impl JiffyCluster {
             )?);
             (sc.shard(0), Some(sc))
         };
-        // Services are registered behind a replay cache so that clients
-        // retrying a timed-out request (same request id) never execute a
-        // mutation twice.
+        // The control plane's one dedup mechanism: a per-session replay
+        // cache, so a client retrying a timed-out request (same request
+        // id) never runs a non-idempotent handler twice. Memory servers
+        // are served bare — their dedup is the per-block replay window.
         let controller_svc: Arc<dyn Service> = match &sharded {
             Some(sc) => Deduplicated::shared(sc.clone()),
             None => Deduplicated::shared(controller.clone()),
@@ -562,6 +562,12 @@ impl JiffyCluster {
                 .hub()
                 .deregister(&self.inner.controller_addr);
         }
+        // A dead process finishes nothing: fence the unplugged instance
+        // so a request it had already accepted cannot commit behind the
+        // back of its successor.
+        if self.sharded.is_none() {
+            self.controller.read().halt();
+        }
     }
 
     /// Restarts the controller at the same address, recovering all
@@ -734,6 +740,67 @@ mod tests {
         let q = job.open_queue("q", &[]).unwrap();
         q.enqueue(b"over tcp").unwrap();
         assert_eq!(q.dequeue().unwrap(), Some(b"over tcp".to_vec()));
+    }
+
+    /// With fewer live servers than `chain_length` the allocator
+    /// co-locates replicas, so the head's next hop is its own address.
+    /// Over TCP the fabric's pooled connection to that address is the
+    /// very session the write arrived on, and a session serves one
+    /// request at a time: a fan-down by RPC waits on itself until the
+    /// 10 s call timeout. The chain must continue locally instead.
+    #[test]
+    fn co_located_chain_over_tcp_does_not_wait_on_itself() {
+        use jiffy_proto::{
+            DataRequest, DataResponse, DsOp, DsResult, Envelope, Replica, INTERNAL_RID,
+        };
+        let cfg = JiffyConfig::for_testing().with_chain_length(2);
+        let cluster = JiffyCluster::over_tcp(cfg, 1, 4).unwrap();
+        let job = cluster.client().unwrap().register_job("t").unwrap();
+        let kv = job.open_kv("kv", &[], 1).unwrap();
+        let q = job.open_queue("q", &[]).unwrap();
+        let start = std::time::Instant::now();
+        kv.put(b"k", b"v").unwrap();
+        kv.multi_put(&[(b"a", b"1"), (b"b", b"2")]).unwrap();
+        q.enqueue(b"x").unwrap();
+        q.enqueue(b"y").unwrap();
+        assert_eq!(q.dequeue().unwrap(), Some(b"x".to_vec()));
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+        // Both replicas of each chain applied every write.
+        let read = |replica: &Replica, op| {
+            let conn = cluster.fabric().connect(&replica.addr).unwrap();
+            match conn.call(Envelope::DataReq {
+                id: INTERNAL_RID,
+                req: DataRequest::Op {
+                    block: replica.block,
+                    op,
+                },
+                tenant: TenantId::ANONYMOUS,
+            }) {
+                Ok(Envelope::DataResp { resp: Ok(r), .. }) => r,
+                other => panic!("{other:?}"),
+            }
+        };
+        let chain_of = |name| {
+            let view = job.resolve(name).unwrap().partition.unwrap();
+            let chain = view.blocks()[0].chain.clone();
+            assert_eq!(chain.len(), 2);
+            assert_eq!(chain[0].addr, chain[1].addr);
+            chain
+        };
+        for replica in &chain_of("kv") {
+            assert_eq!(
+                read(replica, DsOp::KvCount),
+                DataResponse::OpResult(DsResult::Size(3))
+            );
+        }
+        for replica in &chain_of("q") {
+            assert_eq!(
+                read(replica, DsOp::QueueLen),
+                DataResponse::OpResult(DsResult::Size(1))
+            );
+        }
+        assert_eq!(cluster.servers()[0].stats().window_replays, 0);
     }
 
     #[test]

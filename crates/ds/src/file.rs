@@ -10,6 +10,18 @@
 use jiffy_block::Partition;
 use jiffy_common::{JiffyError, Result};
 use jiffy_proto::{Blob, DsOp, DsResult, DsType, SplitSpec};
+use jiffy_sync::Mutex;
+
+/// Buffers of dropped chunks, kept for the chunks created next. A file
+/// lives briefly next to its server — a shuffle creates, fills and
+/// removes one per task — and the allocator hands a freed
+/// multi-megabyte buffer back to the kernel, so without this list every
+/// new chunk is written into pages that fault in one at a time.
+static SPARE_CHUNKS: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+/// Most bytes [`SPARE_CHUNKS`] holds; a buffer that would exceed it is
+/// freed.
+const SPARE_CHUNK_BYTES: usize = 64 << 20;
 
 /// One chunk of a Jiffy file.
 pub struct FilePartition {
@@ -21,10 +33,17 @@ pub struct FilePartition {
 impl FilePartition {
     /// Creates an empty chunk with the given byte capacity.
     pub fn new(capacity: usize, chunk_index: u64) -> Self {
+        // Never a spare larger than this chunk may grow: a small chunk
+        // must not pin a large buffer.
+        let mut spares = SPARE_CHUNKS.lock();
+        let data = match spares.iter().position(|b| b.capacity() <= capacity) {
+            Some(i) => spares.swap_remove(i),
+            None => Vec::new(),
+        };
         Self {
             capacity,
             chunk_index,
-            data: Vec::new(),
+            data,
         }
     }
 
@@ -67,6 +86,19 @@ impl FilePartition {
         }
         let end = (start + len as usize).min(self.data.len());
         Ok(DsResult::Data(Blob::new(self.data[start..end].to_vec())))
+    }
+}
+
+impl Drop for FilePartition {
+    fn drop(&mut self) {
+        let mut data = std::mem::take(&mut self.data);
+        // Length zero: the next chunk reads nothing this one wrote.
+        data.clear();
+        let mut spares = SPARE_CHUNKS.lock();
+        let held: usize = spares.iter().map(Vec::capacity).sum();
+        if data.capacity() > 0 && held + data.capacity() <= SPARE_CHUNK_BYTES {
+            spares.push(data);
+        }
     }
 }
 
@@ -209,6 +241,33 @@ mod tests {
         let payload = f.export().unwrap();
         let mut small = FilePartition::new(16, 0);
         assert!(small.absorb(&payload).is_err());
+    }
+
+    #[test]
+    fn a_dropped_chunks_buffer_serves_a_later_chunk_empty() {
+        const CAP: usize = 1 << 20;
+        let mut f = FilePartition::new(CAP, 0);
+        f.execute(&write(0, &[0xAB; 300 << 10])).unwrap();
+        let grown = f.data.capacity();
+        drop(f);
+        // Other tests' small buffers may sit in the list ahead of it.
+        let mut held = Vec::new();
+        let reused = loop {
+            let g = FilePartition::new(CAP, 0);
+            if g.data.capacity() >= grown {
+                break g;
+            }
+            assert!(held.len() < 64, "the dropped buffer never came back");
+            held.push(g);
+        };
+        assert_eq!(reused.used_bytes(), 0);
+        assert_eq!(
+            reused.read_at(0, 1).unwrap(),
+            DsResult::Data(Blob::default())
+        );
+        // A chunk never takes a buffer larger than it may grow.
+        drop(reused);
+        assert!(FilePartition::new(64, 0).data.capacity() <= 64);
     }
 
     #[test]

@@ -967,7 +967,9 @@ impl DsResult {
 /// Requests handled by a memory server (data plane, paper §4.2.2).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DataRequest {
-    /// Execute a data-structure operator on a block.
+    /// Execute a data-structure operator on a block: [`Self::Replicate`]
+    /// with no downstream and the envelope id as `rid`. What clients
+    /// send for reads.
     Op {
         /// Target block.
         block: BlockId,
@@ -1009,7 +1011,9 @@ pub enum DataRequest {
     },
     /// Server→server (and client→head): chain replication — apply `op`
     /// to this replica's block and forward down the remaining chain.
-    /// The op is acknowledged only once the tail has applied it.
+    /// The op is acknowledged only once the tail has applied it. Every
+    /// client write travels this way; an unreplicated block is a chain
+    /// of length 1 (`downstream` empty).
     Replicate {
         /// Target block on this replica.
         block: BlockId,
@@ -1095,12 +1099,12 @@ pub enum DataRequest {
     /// Health check / round-trip measurement.
     Ping,
     /// Several data-structure operators executed against one block as a
-    /// single request: one envelope, one replay-cache entry, one block
-    /// lock acquisition for the whole run (fast-path batching, paper
-    /// §4.2.2). Ops run in order and execution stops at the first
-    /// failing op; [`DataResponse::Batch`] carries one entry per
-    /// *attempted* op so partial failure stays visible and ops after the
-    /// failure are known to be unexecuted.
+    /// single request: one envelope and one block lock acquisition for
+    /// the whole run (fast-path batching, paper §4.2.2). Ops run in
+    /// order and execution stops at the first failing op;
+    /// [`DataResponse::Batch`] carries one entry per *attempted* op so
+    /// partial failure stays visible and ops after the failure are known
+    /// to be unexecuted.
     ///
     /// New variant appended last: the wire format encodes enums by
     /// variant index, so earlier indices must stay stable.

@@ -3,7 +3,9 @@
 //! One [`AdmissionControl`] lives on each memory server. Every
 //! tenant-attributable data-plane request passes through
 //! [`admit`](AdmissionControl::admit) *before* it executes (and before
-//! the replay cache registers it), so a [`Throttled`] rejection is
+//! the block's replay window is consulted — a retry of an op that
+//! already executed is admitted, and charged, once more before the
+//! window answers it), so a [`Throttled`] rejection is
 //! server-definitive — retrying with the same request id can never
 //! double-apply an operation. Response bytes are charged *after*
 //! execution via [`charge_egress`](AdmissionControl::charge_egress):

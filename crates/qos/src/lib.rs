@@ -22,7 +22,7 @@
 //!   [`jiffy_common::config::QosConfig`].
 //!
 //! Throttling happens strictly *before* execution (and before the
-//! replay cache registers the request), so a [`Throttled`] rejection is
+//! block's replay window is consulted), so a [`Throttled`] rejection is
 //! server-definitive: retrying with the same request id can never
 //! double-apply an operation.
 //!

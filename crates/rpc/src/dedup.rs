@@ -2,24 +2,29 @@
 //!
 //! Under lossy transports a client cannot tell a lost *request* from a
 //! lost *reply*: both surface as a timeout. Retrying is only safe if the
-//! server suppresses re-execution of requests it already handled. Two
-//! layers provide that property:
+//! server suppresses re-execution of requests it already handled. Each
+//! plane has exactly one mechanism for that, both built on
+//! [`ReplayWindow`], a bounded `(request id → cached value)` map with
+//! LRU eviction and a seq watermark:
 //!
-//! - [`Deduplicated`] wraps any [`Service`], remembering the response to
-//!   each `(session, request id)` pair and replaying it when the same id
-//!   arrives again on the same connection.
-//! - [`ReplayWindow`] is the reusable bounded window underneath it — a
-//!   `(request id → cached value)` map with LRU eviction and a seq
-//!   watermark. `jiffy-block` embeds one per block (value =
-//!   `DsResult`) and replicates it down the chain, so exactly-once
-//!   survives what the per-session cache cannot: an abrupt chain-head
-//!   failure between an executed write and its retry.
-//!
-//! Request ids of `0` (unstamped requests and push traffic) bypass the
-//! cache. The per-session cache is bounded ([`DEDUP_CACHE_PER_SESSION`]
-//! most-recent entries) and dropped when the session disconnects — so
-//! deduplication holds across retries on one connection, which is the
-//! window in which a client reuses a request id on a *healthy* chain.
+//! - **Data plane: the per-block window.** `jiffy-block` embeds one
+//!   `ReplayWindow<DsResult>` per block; the memory server looks every
+//!   client-stamped mutation up in it, and records the result, under the
+//!   block lock. The state lives inside the partition it protects, so it
+//!   replicates down the chain and travels with export/import/split/
+//!   merge: a retry is answered whichever connection it arrives on and
+//!   wherever the block now lives (a promoted replica, a migration
+//!   target). Reads are never tracked. Memory servers are served bare.
+//! - **Control plane: [`Deduplicated`].** Wraps the controller endpoint,
+//!   remembering the response to each `(session, request id)` pair and
+//!   replaying it when the same id arrives again on the same connection.
+//!   Control handlers are not idempotent towards the client (a replayed
+//!   `RegisterJob` would mint a second job, a replayed `RemovePrefix`
+//!   answer `NotFound`) and the controller has no per-object window, so
+//!   a response cache in front of it is what that plane needs. It is
+//!   bounded ([`DEDUP_CACHE_PER_SESSION`] most-recent entries), dropped
+//!   when the session disconnects, and bypassed by request id `0`
+//!   (unstamped requests and push traffic).
 
 use jiffy_sync::Arc;
 use std::collections::{BTreeMap, HashMap};
@@ -47,7 +52,7 @@ pub const DEDUP_CACHE_PER_SESSION: usize = 128;
 ///
 /// The window is not itself synchronized — callers wrap it in whatever
 /// lock already guards the state it shadows (the per-block mutex on the
-/// replicate path, the session-map mutex in [`Deduplicated`]), which is
+/// data plane, the session-map mutex in [`Deduplicated`]), which is
 /// what makes "execute + record" atomic with respect to a concurrent
 /// retry.
 /// Identity hasher for request-id keys. Rids are client-assigned
@@ -175,9 +180,10 @@ impl<V> ReplayWindow<V> {
         self.watermark
     }
 
-    /// Drops every entry and resets the counters.
+    /// Drops every entry, releases the table and resets the counters (a
+    /// freed block must not pin its last owner's window capacity).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.entries = HashMap::default();
         self.by_seq.clear();
         self.next_seq = 1;
         self.bytes = 0;
@@ -307,16 +313,13 @@ impl<S: Service> Deduplicated<S> {
         }
     }
 
-    /// Error answers mean "the op did not take effect" — a `Throttled`
-    /// rejection precedes execution, and every other error leaves the
-    /// target unmutated — so there is nothing whose re-execution must be
-    /// suppressed. They are also not worth pinning: a routing retry now
-    /// reuses its request id across a metadata refresh, so a cached
-    /// `StaleMetadata` or dead-downstream `Unavailable` would be
-    /// replayed forever after the condition healed. (Per-op errors
-    /// inside an `Ok(DataResponse::Batch)` prefix are still cached with
-    /// the batch: the executed prefix is what a duplicate delivery must
-    /// not re-run.)
+    /// Error answers mean "the request did not take effect" — a
+    /// `Throttled` deferral precedes execution, and every other error
+    /// leaves the target unmutated — so there is nothing whose
+    /// re-execution must be suppressed. They are also not worth pinning:
+    /// retries reuse their request id, so a cached `Throttled` or
+    /// dark-shard `Unavailable` would be replayed forever after the
+    /// condition healed.
     fn is_error(resp: &Envelope) -> bool {
         matches!(
             resp,
@@ -480,32 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_requests_are_deduplicated_as_one_unit() {
-        // A retried Batch envelope reuses its request id, so the replay
-        // cache must answer the whole multi-op request once — no sub-op
-        // may execute twice on a duplicate delivery.
-        let d = svc();
-        let s = session();
-        let batch = |id| Envelope::DataReq {
-            id,
-            req: DataRequest::Batch {
-                block: jiffy_common::BlockId(1),
-                ops: vec![
-                    jiffy_proto::DsOp::Enqueue { item: "a".into() },
-                    jiffy_proto::DsOp::Enqueue { item: "b".into() },
-                ],
-                rids: vec![],
-            },
-            tenant: jiffy_common::TenantId::ANONYMOUS,
-        };
-        let first = d.handle(batch(11), &s);
-        let replayed = d.handle(batch(11), &s);
-        assert_eq!(first, replayed);
-        assert_eq!(d.inner().executed.load(Ordering::SeqCst), 1);
-        assert_eq!(d.replays(), 1);
-    }
-
-    #[test]
     fn error_responses_are_not_cached() {
         // An error answer means "did not execute" (throttles precede
         // execution; other errors leave the target unmutated), so a
@@ -597,6 +574,22 @@ mod tests {
         // First insert wins on a repeated id.
         w.insert(5, 99, 1);
         assert_eq!(w.lookup(5), Some(&50));
+    }
+
+    /// A block is reset when it is freed and recorded into when it is
+    /// reused: the table grown for its last owner must not stay behind.
+    #[test]
+    fn clear_releases_the_table() {
+        let mut w: ReplayWindow<u64> = ReplayWindow::new(512, 1 << 20);
+        for id in 0..512u64 {
+            w.insert(id, id, 8);
+        }
+        assert!(w.entries.capacity() >= 512);
+        w.clear();
+        assert_eq!(w.entries.capacity(), 0);
+        assert_eq!((w.len(), w.bytes(), w.watermark()), (0, 0, 0));
+        w.insert(7, 70, 8);
+        assert_eq!(w.lookup(7), Some(&70));
     }
 
     #[test]

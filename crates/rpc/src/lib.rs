@@ -23,8 +23,9 @@
 //!   error and partition rules, togglable at runtime.
 //! - [`retry`] — exponential-backoff [`RetryPolicy`] for transport-level
 //!   faults.
-//! - [`dedup`] — server-side replay cache ([`Deduplicated`]) making
-//!   same-id retries execute exactly once per session.
+//! - [`dedup`] — same-id retries execute exactly once: the bounded
+//!   [`ReplayWindow`] (embedded per block on the data plane) and the
+//!   per-session [`Deduplicated`] cache in front of the controller.
 //!
 //! [`Service`]: service::Service
 

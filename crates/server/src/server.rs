@@ -206,40 +206,24 @@ impl MemoryServer {
 
     /// Whether `rid` identifies a client-stamped mutation whose result
     /// belongs in the block's replay window. Pure reads are idempotent
-    /// (re-executing one is harmless), and internal/auto-assigned ids
-    /// (fan-down envelopes, legacy callers) stay below
-    /// [`CLIENT_RID_BASE`], so only client-originated writes are
-    /// tracked.
+    /// (re-executing one is harmless) and never touch the window;
+    /// `Custom` ops are tracked because the server cannot see whether
+    /// they mutate. Internal/auto-assigned ids (fan-down of untracked
+    /// requests, legacy callers) stay below [`CLIENT_RID_BASE`], so only
+    /// client-originated writes are tracked.
     fn replay_tracked(rid: u64, op: &DsOp) -> bool {
-        rid >= CLIENT_RID_BASE && op.kind().is_some()
+        rid >= CLIENT_RID_BASE && (op.kind().is_some() || matches!(op, DsOp::Custom { .. }))
     }
 
-    /// Executes one op, answering from the block's replay window when
-    /// the same client request id already executed here (a retry after
-    /// a lost ack or a chain-head failover). `record` is set on the
-    /// replication path, where the executing replica must remember the
-    /// result so ANY replica — including a freshly promoted head — can
-    /// answer the retry without re-executing.
-    fn execute_op(&self, block_id: BlockId, op: &DsOp, rid: u64, record: bool) -> Result<DsResult> {
-        let block = self.store.get(block_id)?;
-        let tracked = Self::replay_tracked(rid, op);
-        let (result, notification, event) = {
-            let mut guard = block.lock();
-            if tracked {
-                if let Some(hit) = guard.replay_lookup(rid) {
-                    drop(guard);
-                    self.stats.window_replays.fetch_add(1, Ordering::Relaxed);
-                    return Ok(hit);
-                }
-            }
-            let executed = guard.execute(op)?;
-            if tracked && record {
-                guard.replay_record(rid, &executed.0);
-            }
-            executed
-        };
-        self.stats.ops.fetch_add(1, Ordering::Relaxed);
-        if let Some(n) = notification {
+    /// Publishes what a run of executed ops produced, after the block
+    /// lock has dropped.
+    fn publish(
+        &self,
+        block_id: BlockId,
+        notifications: impl IntoIterator<Item = jiffy_proto::Notification>,
+        event: Option<ThresholdEvent>,
+    ) {
+        for n in notifications {
             let fanned = self.subs.publish(&n);
             self.stats
                 .notifications
@@ -248,16 +232,104 @@ impl MemoryServer {
         if let Some(e) = event {
             let _ = self.event_tx.send((block_id, e));
         }
+    }
+
+    /// Hands a server-internal request to the next replica of a chain.
+    /// The chain head already charged the op against the tenant;
+    /// forwarding anonymously keeps replication from multiplying the
+    /// charge (and from being throttled mid-chain, which would leave
+    /// replicas diverged). The envelope id is re-stamped by the
+    /// transport, so originating request ids ride in the request body.
+    ///
+    /// A replica co-located on this server is served by a local call:
+    /// the fabric's pooled connection to our own address is the session
+    /// the request being served arrived on, which runs one request at a
+    /// time — an RPC to ourselves would wait on itself until the call
+    /// timeout.
+    fn forward(&self, next: &jiffy_proto::Replica, req: DataRequest) -> Result<DataResponse> {
+        let own = matches!(&*self.identity.lock(), Some((_, own)) if *own == next.addr);
+        if own {
+            let no_session = SessionHandle::new(Arc::new(|_| {}));
+            return self.dispatch_inner(req, &no_session, INTERNAL_RID);
+        }
+        match self.fabric.connect(&next.addr)?.call(Envelope::DataReq {
+            id: INTERNAL_RID,
+            req,
+            tenant: TenantId::ANONYMOUS,
+        })? {
+            Envelope::DataResp { resp, .. } => resp,
+            other => Err(JiffyError::Rpc(format!("unexpected reply: {other:?}"))),
+        }
+    }
+
+    /// The single-op path, for reads and writes alike: an unreplicated
+    /// block is a chain of length 1 (`downstream` empty).
+    ///
+    /// Execute-or-replay under the block lock: a tracked mutation whose
+    /// `rid` already sits in the block's replay window (a retry after a
+    /// lost ack, on any session, or at a promoted or migrated-to replica)
+    /// is answered from the window; a first execution is recorded there
+    /// so ANY replica can answer the retry without re-executing. The op
+    /// is then forwarded down the chain before it is acknowledged (chain
+    /// replication: a write is durable once the tail has it). A window
+    /// hit forwards too: the first attempt may have died mid-chain, so
+    /// the retry must finish propagating the write (downstream replicas
+    /// dedupe via their own windows).
+    fn execute_op(
+        &self,
+        block_id: BlockId,
+        op: &DsOp,
+        downstream: &[jiffy_proto::Replica],
+        rid: u64,
+    ) -> Result<DsResult> {
+        let block = self.store.get(block_id)?;
+        let tracked = Self::replay_tracked(rid, op);
+        let (result, executed) = {
+            let mut guard = block.lock();
+            match tracked.then(|| guard.replay_lookup(rid)).flatten() {
+                Some(hit) => (hit, None),
+                None => {
+                    let (result, notification, event) = guard.execute(op)?;
+                    if tracked {
+                        guard.replay_record(rid, &result);
+                    }
+                    (result, Some((notification, event)))
+                }
+            }
+        };
+        match executed {
+            Some((notification, event)) => {
+                self.stats.ops.fetch_add(1, Ordering::Relaxed);
+                self.publish(block_id, notification, event);
+            }
+            None => {
+                self.stats.window_replays.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        if let Some((next, rest)) = downstream.split_first() {
+            self.forward(
+                next,
+                DataRequest::Replicate {
+                    block: next.block,
+                    op: op.clone(),
+                    downstream: rest.to_vec(),
+                    rid,
+                },
+            )?;
+        }
         Ok(result)
     }
 
-    /// Executes a run of ops against one block under a *single* lock
-    /// acquisition (the batch fast path). Ops run in order; execution
-    /// stops at the first failure, so the returned vector is a prefix of
-    /// the request — every entry before the last is `Ok` and ops past
-    /// its length were never attempted. Stopping (rather than skipping
-    /// ahead) keeps order-sensitive structures correct: a queue must not
-    /// apply op N+1 when op N failed and will be retried.
+    /// The batch path: a run of ops against one block under a *single*
+    /// lock acquisition, then — like [`Self::execute_op`] — forwarded
+    /// down `downstream`. Ops run in order; execution stops at the first
+    /// failure, so the returned vector is a prefix of the request —
+    /// every entry before the last is `Ok` and ops past its length were
+    /// never attempted. Stopping (rather than skipping ahead) keeps
+    /// order-sensitive structures correct: a queue must not apply op N+1
+    /// when op N failed and will be retried. Only the `Ok` prefix
+    /// propagates down the chain: the ops after a failure never executed
+    /// here, so forwarding them would diverge the replicas.
     ///
     /// Notifications and threshold events are collected inside the lock
     /// but published after it drops, like the single-op path.
@@ -272,8 +344,8 @@ impl MemoryServer {
         &self,
         block_id: BlockId,
         ops: &[DsOp],
+        downstream: &[jiffy_proto::Replica],
         rids: &[u64],
-        record: bool,
     ) -> Result<Vec<Result<DsResult>>> {
         if !rids.is_empty() && rids.len() != ops.len() {
             return Err(JiffyError::Rpc(format!(
@@ -292,30 +364,25 @@ impl MemoryServer {
             let mut guard = block.lock();
             for (i, op) in ops.iter().enumerate() {
                 let rid = rids.get(i).copied().unwrap_or(INTERNAL_RID);
-                if Self::replay_tracked(rid, op) {
-                    if let Some(hit) = guard.replay_lookup(rid) {
-                        // Already executed here (the ack was lost, or a
-                        // promoted replica is answering the retry):
-                        // notifications were published the first time.
-                        replayed += 1;
-                        results.push(Ok(hit));
-                        continue;
-                    }
+                let tracked = Self::replay_tracked(rid, op);
+                if let Some(hit) = tracked.then(|| guard.replay_lookup(rid)).flatten() {
+                    // Already executed here (the ack was lost, or a
+                    // promoted replica is answering the retry):
+                    // notifications were published the first time.
+                    replayed += 1;
+                    results.push(Ok(hit));
+                    continue;
                 }
                 match guard.execute(op) {
                     Ok((result, notification, event)) => {
                         executed += 1;
-                        if record && Self::replay_tracked(rid, op) {
+                        if tracked {
                             guard.replay_record(rid, &result);
                         }
-                        if let Some(n) = notification {
-                            notifications.push(n);
-                        }
-                        if let Some(e) = event {
-                            // Threshold events are monotone within one
-                            // run; only the latest state matters.
-                            last_event = Some(e);
-                        }
+                        notifications.extend(notification);
+                        // Threshold events are monotone within one run;
+                        // only the latest state matters.
+                        last_event = event.or(last_event);
                         results.push(Ok(result));
                     }
                     Err(e) => {
@@ -329,14 +396,30 @@ impl MemoryServer {
         self.stats
             .window_replays
             .fetch_add(replayed, Ordering::Relaxed);
-        for n in notifications {
-            let fanned = self.subs.publish(&n);
-            self.stats
-                .notifications
-                .fetch_add(fanned as u64, Ordering::Relaxed);
-        }
-        if let Some(e) = last_event {
-            let _ = self.event_tx.send((block_id, e));
+        self.publish(block_id, notifications, last_event);
+        let ok_prefix = results.iter().take_while(|r| r.is_ok()).count();
+        if let Some((next, rest)) = downstream.split_first().filter(|_| ok_prefix > 0) {
+            let down = match self.forward(
+                next,
+                DataRequest::ReplicateBatch {
+                    block: next.block,
+                    ops: ops[..ok_prefix].to_vec(),
+                    downstream: rest.to_vec(),
+                    rids: rids[..ok_prefix.min(rids.len())].to_vec(),
+                },
+            )? {
+                DataResponse::Batch(down) => down,
+                other => return Err(JiffyError::Rpc(format!("unexpected reply: {other:?}"))),
+            };
+            // The downstream replica saw exactly the ops we executed;
+            // anything but an all-`Ok` echo of that prefix means the
+            // chain diverged.
+            if down.len() != ok_prefix || down.iter().any(Result::is_err) {
+                return Err(JiffyError::Rpc(format!(
+                    "replicated batch diverged downstream: \
+                     {ok_prefix} ops forwarded, reply {down:?}"
+                )));
+            }
         }
         Ok(results)
     }
@@ -481,28 +564,15 @@ impl MemoryServer {
         // ranges forever (and a later promotion would lose them). The
         // replay window ships alongside for the same reason: any
         // replica may be asked to answer a retry after a promotion.
-        let my_addr = self.identity().map(|(_, addr)| addr);
         for replica in &target.chain {
-            // Local-target fast path (same server): skip the transport.
-            if my_addr.as_deref() == Some(replica.addr.as_str()) {
-                self.import_payload(replica.block, payload, replay)?;
-                continue;
-            }
-            let conn = self.fabric.connect(&replica.addr)?;
-            // Server-to-server transfer: exempt from admission control.
-            match conn.call(Envelope::DataReq {
-                id: INTERNAL_RID,
-                req: DataRequest::ImportPayload {
+            self.forward(
+                replica,
+                DataRequest::ImportPayload {
                     block: replica.block,
                     payload: payload.into(),
                     replay: replay.into(),
                 },
-                tenant: TenantId::ANONYMOUS,
-            })? {
-                Envelope::DataResp { resp: Ok(_), .. } => {}
-                Envelope::DataResp { resp: Err(e), .. } => return Err(e),
-                other => return Err(JiffyError::Rpc(format!("unexpected reply: {other:?}"))),
-            }
+            )?;
         }
         Ok(())
     }
@@ -520,102 +590,6 @@ impl MemoryServer {
         }
         self.stats.imports.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    fn replicate(
-        &self,
-        block_id: BlockId,
-        op: &DsOp,
-        downstream: &[jiffy_proto::Replica],
-        rid: u64,
-    ) -> Result<DsResult> {
-        // Execute-or-replay under the block lock, recording the result
-        // in the replay window so a retry after this replica is
-        // promoted to head answers from the cache. A window hit still
-        // falls through to the fan-down below: the first attempt may
-        // have died mid-chain, so the retry must finish propagating the
-        // write (downstream replicas dedupe via their own windows).
-        let result = self.execute_op(block_id, op, rid, true)?;
-        // Forward down the chain before acknowledging (chain
-        // replication: a write is durable once the tail has it).
-        if let Some((next, rest)) = downstream.split_first() {
-            let conn = self.fabric.connect(&next.addr)?;
-            // The chain-head already charged this op against the tenant;
-            // forwarding anonymously keeps replication from multiplying
-            // the charge (and from being throttled mid-chain, which
-            // would leave replicas diverged). The originating request id
-            // fans down explicitly — the envelope id is re-stamped by
-            // the transport, so it cannot carry the rid.
-            match conn.call(Envelope::DataReq {
-                id: INTERNAL_RID,
-                req: DataRequest::Replicate {
-                    block: next.block,
-                    op: op.clone(),
-                    downstream: rest.to_vec(),
-                    rid,
-                },
-                tenant: TenantId::ANONYMOUS,
-            })? {
-                Envelope::DataResp { resp: Ok(_), .. } => {}
-                Envelope::DataResp { resp: Err(e), .. } => return Err(e),
-                other => return Err(JiffyError::Rpc(format!("unexpected reply: {other:?}"))),
-            }
-        }
-        Ok(result)
-    }
-
-    /// The batched replication path: executes the batch locally (with
-    /// per-op replay-window dedup), then fans the successfully executed
-    /// prefix down the chain. Only the `Ok` prefix propagates — under
-    /// stop-at-first-error semantics the ops after a failure never
-    /// executed here, so forwarding them would diverge the replicas.
-    fn replicate_batch(
-        &self,
-        block_id: BlockId,
-        ops: &[DsOp],
-        downstream: &[jiffy_proto::Replica],
-        rids: &[u64],
-    ) -> Result<Vec<Result<DsResult>>> {
-        let results = self.execute_batch(block_id, ops, rids, true)?;
-        let ok_prefix = results.iter().take_while(|r| r.is_ok()).count();
-        if ok_prefix > 0 {
-            if let Some((next, rest)) = downstream.split_first() {
-                let conn = self.fabric.connect(&next.addr)?;
-                let fan_rids = if rids.is_empty() {
-                    Vec::new()
-                } else {
-                    rids[..ok_prefix].to_vec()
-                };
-                match conn.call(Envelope::DataReq {
-                    id: INTERNAL_RID,
-                    req: DataRequest::ReplicateBatch {
-                        block: next.block,
-                        ops: ops[..ok_prefix].to_vec(),
-                        downstream: rest.to_vec(),
-                        rids: fan_rids,
-                    },
-                    tenant: TenantId::ANONYMOUS,
-                })? {
-                    Envelope::DataResp {
-                        resp: Ok(DataResponse::Batch(down)),
-                        ..
-                    } => {
-                        // The downstream replica saw exactly the ops we
-                        // executed; anything but an all-`Ok` echo of
-                        // that prefix means the chain diverged.
-                        if down.len() != ok_prefix || down.iter().any(Result::is_err) {
-                            return Err(JiffyError::Rpc(format!(
-                                "replicated batch diverged downstream: \
-                                 {ok_prefix} ops forwarded, reply {down:?}"
-                            )));
-                        }
-                    }
-                    Envelope::DataResp { resp: Err(e), .. } => return Err(e),
-                    other => return Err(JiffyError::Rpc(format!("unexpected reply: {other:?}"))),
-                }
-            }
-        }
-        Ok(results)
     }
 
     /// The `(ops, ingress bytes)` cost admission control charges for a
@@ -669,11 +643,12 @@ impl MemoryServer {
         session: &SessionHandle,
         rid: u64,
     ) -> Result<DataResponse> {
-        // Admission control runs BEFORE any execution or replay-cache
-        // registration: a `Throttled` answer is a server-definitive
-        // "did not execute", so clients may freely re-send. Ops that
-        // pass are charged immediately (ingress); their response bytes
-        // are charged after execution (egress).
+        // Admission control runs BEFORE any execution or replay-window
+        // lookup: a `Throttled` answer is a server-definitive "did not
+        // execute", so clients may freely re-send (a retry of an op
+        // that did execute is charged once more, then replayed). Ops
+        // that pass are charged immediately (ingress); their response
+        // bytes are charged after execution (egress).
         if let Some((ops, bytes)) = Self::admission_cost(&req) {
             self.qos.admit(tenant, ops, bytes)?;
         }
@@ -692,17 +667,16 @@ impl MemoryServer {
         rid: u64,
     ) -> Result<DataResponse> {
         match req {
-            DataRequest::Op { block, op } => {
-                // The envelope id doubles as the request id on the plain
-                // Op path (clients stamp both from one counter). Lookup
-                // only — a single-replica block has nowhere to fail over
-                // to, so the per-session dedup cache already covers the
-                // lost-ack case; the block window answers retries that
-                // re-route here after a promotion or migration.
-                Ok(DataResponse::OpResult(
-                    self.execute_op(block, &op, rid, false)?,
-                ))
-            }
+            // `Op`/`Batch` are the empty-downstream spelling of
+            // `Replicate`/`ReplicateBatch` (what clients send for reads
+            // and raw callers for anything); the envelope id stands in
+            // for the request id, which clients stamp from one counter.
+            DataRequest::Op { block, op } => Ok(DataResponse::OpResult(self.execute_op(
+                block,
+                &op,
+                &[],
+                rid,
+            )?)),
             DataRequest::Subscribe { block, ops } => {
                 // Validate the block exists so clients learn of typos.
                 self.store.get(block)?;
@@ -734,7 +708,7 @@ impl MemoryServer {
                 op,
                 downstream,
                 rid,
-            } => Ok(DataResponse::OpResult(self.replicate(
+            } => Ok(DataResponse::OpResult(self.execute_op(
                 block,
                 &op,
                 &downstream,
@@ -745,7 +719,7 @@ impl MemoryServer {
                 ops,
                 downstream,
                 rids,
-            } => Ok(DataResponse::Batch(self.replicate_batch(
+            } => Ok(DataResponse::Batch(self.execute_batch(
                 block,
                 &ops,
                 &downstream,
@@ -803,7 +777,7 @@ impl MemoryServer {
             }
             DataRequest::Ping => Ok(DataResponse::Pong),
             DataRequest::Batch { block, ops, rids } => Ok(DataResponse::Batch(
-                self.execute_batch(block, &ops, &rids, false)?,
+                self.execute_batch(block, &ops, &[], &rids)?,
             )),
         }
     }

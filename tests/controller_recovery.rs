@@ -27,6 +27,7 @@ use jiffy_controller::{Controller, NoopDataPlane, StateMirror};
 use jiffy_harness::{run, ElasticAction, HarnessConfig, WorkloadMix};
 use jiffy_persistent::{MemObjectStore, ObjectStore};
 use jiffy_proto::{ControlRequest, ControlResponse, DsType};
+use jiffy_sync::atomic::{AtomicBool, Ordering};
 use jiffy_sync::Arc;
 
 const JOURNAL_PREFIX: &str = "jiffy-meta/journal/";
@@ -473,9 +474,12 @@ fn control_ops_ride_through_the_restart_window() {
     let job = client.register_job("window").expect("job");
     job.open_kv("state", &[], 1).expect("kv");
 
+    // Connected before the crash: `connect` dials eagerly, and a server
+    // heartbeat that fails in the dark window evicts the pooled
+    // connection it would otherwise reuse.
+    let client2 = cluster.client().expect("client");
     cluster.crash_controller();
     let concurrent = {
-        let client2 = cluster.client().expect("client");
         let job_id = job.id();
         std::thread::spawn(move || {
             jiffy_client::JobClient::attach(client2, job_id).renew_lease("state")
@@ -508,6 +512,98 @@ fn heartbeats_reestablish_liveness_after_restart() {
             "servers never re-registered as alive with the recovered controller"
         );
         std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// An object store whose process can die: once dead, every write fails
+/// (reads keep working for the successor's recovery).
+struct DyingStore {
+    inner: MemObjectStore,
+    dead: AtomicBool,
+}
+
+impl ObjectStore for DyingStore {
+    fn put(&self, path: &str, data: &[u8]) -> jiffy_common::Result<()> {
+        if self.dead.load(Ordering::SeqCst) {
+            return Err(jiffy_common::JiffyError::Internal("store died".into()));
+        }
+        self.inner.put(path, data)
+    }
+    fn get(&self, path: &str) -> jiffy_common::Result<Vec<u8>> {
+        self.inner.get(path)
+    }
+    fn delete(&self, path: &str) -> jiffy_common::Result<()> {
+        self.inner.delete(path)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.inner.exists(path)
+    }
+    fn list(&self, prefix: &str) -> Vec<String> {
+        self.inner.list(prefix)
+    }
+}
+
+/// KNOWN GAP (ROADMAP open items): `handle_underload` runs the
+/// data-plane merge *before* `MergeCommitted` is journaled, so a
+/// controller that dies between the two leaves the source block's data
+/// on the target while the recovered metadata still routes its keys to
+/// the (emptied) source. The crash is placed exactly there: the journal
+/// append after the merge fails, as it would for a dead process.
+#[test]
+#[ignore = "known gap: merge runs on the data plane before MergeCommitted is journaled"]
+fn a_crash_between_merge_and_its_journal_record_loses_no_acked_write() {
+    // Thresholds off: the merge is ordered by hand, at a known instant.
+    let cfg = long_lease_cfg().with_thresholds(0.0, 1.0);
+    let store = Arc::new(DyingStore {
+        inner: MemObjectStore::new(),
+        dead: AtomicBool::new(false),
+    });
+    let cluster = JiffyCluster::build(
+        cfg,
+        2,
+        16,
+        jiffy_common::clock::SystemClock::shared(),
+        store.clone(),
+        false,
+        false,
+    )
+    .expect("cluster");
+    let job = cluster
+        .client()
+        .expect("client")
+        .register_job("gap")
+        .expect("job");
+    let kv = job.open_kv("state", &[], 2).expect("kv");
+    for i in 0..50u32 {
+        kv.put(format!("k{i}").as_bytes(), format!("v{i}").as_bytes())
+            .expect("acked put");
+    }
+    let source = job
+        .resolve("state")
+        .expect("resolve")
+        .partition
+        .expect("ds")
+        .blocks()[1]
+        .id();
+
+    store.dead.store(true, Ordering::SeqCst);
+    cluster
+        .controller()
+        .dispatch(ControlRequest::ReportUnderload {
+            block: source,
+            used: 0,
+        })
+        .expect_err("the merge's journal append hits the dead store");
+    cluster.crash_controller();
+    store.dead.store(false, Ordering::SeqCst);
+    cluster.restart_controller().expect("restart");
+
+    for i in 0..50u32 {
+        assert_eq!(
+            kv.get(format!("k{i}").as_bytes()).expect("get"),
+            Some(format!("v{i}").into_bytes()),
+            "k{i} stranded by the unjournaled merge"
+        );
     }
 }
 

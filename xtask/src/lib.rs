@@ -40,7 +40,7 @@
 //! 6. **internal-rid** — an `Envelope::DataReq` construction may not
 //!    carry a bare `id: 0` literal outside `crates/proto` and test code.
 //!    Request id 0 is the "untracked internal traffic" sentinel that
-//!    bypasses both replay caches (DESIGN.md §16); spelling it
+//!    bypasses the block replay window (DESIGN.md §16); spelling it
 //!    `INTERNAL_RID` keeps that bypass greppable and keeps a refactor
 //!    from silently turning a client path into untracked traffic.
 
