@@ -6,18 +6,16 @@
 //! stopped or dropped. Thanks to DAG propagation (§3.2) one renewal per
 //! running task suffices to keep its inputs and consumers alive.
 
-use jiffy_sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use jiffy_sync::Arc;
+use jiffy_sync::atomic::{AtomicU64, Ordering};
+use jiffy_sync::{Arc, Mutex, StopSignal};
 use std::time::Duration;
-
-use jiffy_sync::Mutex;
 
 use crate::job::JobClient;
 
 /// Periodically renews leases for a set of prefixes.
 pub struct LeaseRenewer {
     prefixes: Arc<Mutex<Vec<String>>>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
     renewals: Arc<AtomicU64>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -26,20 +24,20 @@ impl LeaseRenewer {
     /// Starts the renewal loop.
     pub fn start(job: JobClient, prefixes: Vec<String>, interval: Duration) -> Self {
         let prefixes = Arc::new(Mutex::new(prefixes));
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopSignal::new());
         let renewals = Arc::new(AtomicU64::new(0));
         let (p2, s2, r2) = (prefixes.clone(), stop.clone(), renewals.clone());
         let thread = std::thread::Builder::new()
             .name("jiffy-lease-renewer".into())
             .spawn(move || {
-                while !s2.load(Ordering::SeqCst) {
+                while !s2.is_stopped() {
                     let current: Vec<String> = p2.lock().clone();
                     for p in &current {
                         if job.renew_lease(p).is_ok() {
                             r2.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    std::thread::sleep(interval);
+                    s2.wait(interval);
                 }
             })
             .expect("spawn lease renewer");
@@ -71,9 +69,9 @@ impl LeaseRenewer {
         self.renewals.load(Ordering::Relaxed)
     }
 
-    /// Stops the loop and waits for the thread.
+    /// Stops the loop and waits for the thread (and its RPC in flight).
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.stop();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }

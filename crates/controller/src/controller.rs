@@ -18,7 +18,7 @@ use jiffy_proto::{
 use jiffy_qos::{weighted_max_min, TenantDirectory};
 use jiffy_rpc::{Fabric, Service, SessionHandle};
 use jiffy_sync::atomic::{AtomicU64, Ordering};
-use jiffy_sync::Mutex;
+use jiffy_sync::{Mutex, StopSignal};
 use serde::{Deserialize, Serialize};
 
 use crate::freelist::FreeList;
@@ -2115,25 +2115,11 @@ impl Controller {
     /// when the returned handle drops. Only meaningful with a real-time
     /// clock.
     pub fn start_elasticity_worker(self: &Arc<Self>) -> ControllerHandle {
-        let stop = Arc::new(jiffy_sync::atomic::AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let ctrl = Arc::clone(self);
-        let interval = self.cfg.elasticity_interval;
-        #[allow(clippy::expect_used)] // invariant documented in the message
-        let thread = std::thread::Builder::new()
-            .name("jiffy-elasticity".into())
-            .spawn(move || {
-                while !stop2.load(jiffy_sync::atomic::Ordering::SeqCst) {
-                    std::thread::sleep(interval);
-                    ctrl.run_failure_detector_once();
-                    ctrl.run_autoscaler_once();
-                }
-            })
-            .expect("invariant: thread spawn fails only on OS resource exhaustion");
-        ControllerHandle {
-            stop,
-            thread: Some(thread),
-        }
+        let (ctrl, interval) = (Arc::clone(self), self.cfg.elasticity_interval);
+        ControllerHandle::spawn("jiffy-elasticity", interval, move || {
+            ctrl.run_failure_detector_once();
+            ctrl.run_autoscaler_once();
+        })
     }
 
     /// One pass of the lease-expiry worker: flush and reclaim every
@@ -2160,24 +2146,10 @@ impl Controller {
     /// every `cfg.lease_scan_interval` until the returned handle is
     /// dropped. Only meaningful with a real-time clock.
     pub fn start_expiry_worker(self: &Arc<Self>) -> ControllerHandle {
-        let stop = Arc::new(jiffy_sync::atomic::AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let ctrl = Arc::clone(self);
-        let interval = self.cfg.lease_scan_interval;
-        #[allow(clippy::expect_used)] // invariant documented in the message
-        let thread = std::thread::Builder::new()
-            .name("jiffy-lease-expiry".into())
-            .spawn(move || {
-                while !stop2.load(jiffy_sync::atomic::Ordering::SeqCst) {
-                    std::thread::sleep(interval);
-                    ctrl.run_expiry_once();
-                }
-            })
-            .expect("invariant: thread spawn fails only on OS resource exhaustion");
-        ControllerHandle {
-            stop,
-            thread: Some(thread),
-        }
+        let (ctrl, interval) = (Arc::clone(self), self.cfg.lease_scan_interval);
+        ControllerHandle::spawn("jiffy-lease-expiry", interval, move || {
+            ctrl.run_expiry_once();
+        })
     }
 
     fn stats_locked(&self, st: &CtrlState) -> ControllerStats {
@@ -2250,16 +2222,40 @@ impl Service for Controller {
     }
 }
 
-/// Handle keeping the lease-expiry worker alive; stops it on drop.
+/// Handle keeping an expiry or elasticity worker alive; stops it on drop.
 pub struct ControllerHandle {
-    stop: Arc<jiffy_sync::atomic::AtomicBool>,
+    stop: Arc<StopSignal>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ControllerHandle {
-    /// Stops the worker and waits for it to exit.
+    /// Spawns a worker that waits `interval`, runs `tick`, and repeats
+    /// until the handle stops it.
+    fn spawn(
+        name: &str,
+        interval: std::time::Duration,
+        mut tick: impl FnMut() + Send + 'static,
+    ) -> Self {
+        let stop = Arc::new(StopSignal::new());
+        let stop2 = stop.clone();
+        #[allow(clippy::expect_used)] // invariant documented in the message
+        let thread = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                while !stop2.wait(interval) {
+                    tick();
+                }
+            })
+            .expect("invariant: thread spawn fails only on OS resource exhaustion");
+        Self {
+            stop,
+            thread: Some(thread),
+        }
+    }
+
+    /// Stops the worker and waits for it (and its tick in flight) to exit.
     pub fn stop(&mut self) {
-        self.stop.store(true, jiffy_sync::atomic::Ordering::SeqCst);
+        self.stop.stop();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -2280,9 +2276,14 @@ mod tests {
     use std::time::Duration;
 
     fn controller() -> (Arc<Controller>, Arc<ManualClock>, Arc<MemObjectStore>) {
+        controller_with(JiffyConfig::for_testing())
+    }
+
+    fn controller_with(
+        cfg: JiffyConfig,
+    ) -> (Arc<Controller>, Arc<ManualClock>, Arc<MemObjectStore>) {
         let (clock, shared) = ManualClock::shared();
         let store = Arc::new(MemObjectStore::new());
-        let cfg = JiffyConfig::for_testing();
         let ctrl = Controller::new(cfg, shared, Arc::new(NoopDataPlane), store.clone()).unwrap();
         (ctrl, clock, store)
     }
@@ -2938,5 +2939,57 @@ mod tests {
         store.put("jiffy-meta/snapshot/.tmp-99", b"junk").unwrap();
         let recovered = recover(&_clock, &store);
         assert_recovered_matches(&ctrl, &recovered);
+    }
+
+    #[test]
+    fn stopping_a_worker_does_not_wait_out_its_interval() {
+        let long = Duration::from_secs(30);
+        let mut cfg = JiffyConfig::for_testing();
+        cfg.lease_scan_interval = long;
+        cfg.elasticity_interval = long;
+        let (ctrl, _clock, _) = controller_with(cfg);
+        for mut handle in [ctrl.start_expiry_worker(), ctrl.start_elasticity_worker()] {
+            // Let the worker reach its wait: that is where it spends 30 s.
+            std::thread::sleep(Duration::from_millis(20));
+            let begun = std::time::Instant::now();
+            handle.stop();
+            assert!(
+                begun.elapsed() < Duration::from_secs(1),
+                "stop waited {:?} of a 30 s interval",
+                begun.elapsed()
+            );
+        }
+    }
+
+    #[test]
+    fn expiry_worker_reclaims_a_lapsed_prefix_within_two_scans() {
+        let scan = Duration::from_millis(50);
+        let mut cfg = JiffyConfig::for_testing();
+        cfg.lease_scan_interval = scan;
+        let (ctrl, clock, _) = controller_with(cfg);
+        add_server(&ctrl, 4);
+        let job = register(&ctrl);
+        ctrl.dispatch(ControlRequest::CreatePrefix {
+            job,
+            name: "lapsing".into(),
+            parents: vec![],
+            ds: Some(DsType::File),
+            initial_blocks: 1,
+        })
+        .unwrap();
+        let _worker = ctrl.start_expiry_worker();
+        // The worker waits first: nothing is scanned before one interval.
+        assert_eq!(ctrl.stats().leases_expired, 0);
+        clock.advance(Duration::from_secs(2));
+        // Two scan intervals, plus slack for a loaded host.
+        let deadline = std::time::Instant::now() + 2 * scan + Duration::from_secs(2);
+        while ctrl.stats().leases_expired == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the expiry worker stopped ticking"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(ctrl.stats().free_blocks, 4, "blocks reclaimed");
     }
 }

@@ -1,7 +1,7 @@
 //! The memory server service.
 
 use jiffy_sync::atomic::{AtomicU64, Ordering};
-use jiffy_sync::Arc;
+use jiffy_sync::{Arc, Mutex, StopSignal};
 
 use crossbeam::channel::{unbounded, Sender};
 use jiffy_block::{Block, BlockStore, PartitionRegistry, ThresholdEvent};
@@ -13,7 +13,6 @@ use jiffy_proto::{
 };
 use jiffy_qos::AdmissionControl;
 use jiffy_rpc::{Fabric, Service, SessionHandle};
-use jiffy_sync::Mutex;
 
 use crate::subs::SubscriptionMap;
 
@@ -63,6 +62,8 @@ pub struct MemoryServer {
     /// Per-tenant data-plane admission control (token buckets + load
     /// accounting); limits refresh from heartbeat acks.
     qos: AdmissionControl,
+    /// Ends the heartbeat worker's interval wait when the server goes.
+    heartbeat_stop: Arc<StopSignal>,
 }
 
 impl MemoryServer {
@@ -83,6 +84,7 @@ impl MemoryServer {
             event_tx,
             stats: StatCells::default(),
             qos,
+            heartbeat_stop: Arc::new(StopSignal::new()),
         });
         // Asynchronous threshold reporting: ops never block on the
         // controller (paper §3.3 — repartitioning is asynchronous).
@@ -784,23 +786,22 @@ impl MemoryServer {
 
     /// Starts the periodic membership heartbeat to the controller
     /// (every `cfg.heartbeat_interval`). The worker holds only a weak
-    /// reference, so it exits when the server is dropped; it also stops
+    /// reference and is woken to exit when the server is dropped; it also stops
     /// once the controller rejects the heartbeat with `UnknownServer`
     /// (this server was declared dead or deregistered — it would have
     /// to re-join, not heartbeat).
     pub fn start_heartbeats(self: &Arc<Self>) {
         let worker = Arc::downgrade(self);
+        let stop = self.heartbeat_stop.clone();
         let interval = self.cfg.heartbeat_interval;
         #[allow(clippy::expect_used)] // invariant documented in the message
         std::thread::Builder::new()
             .name("jiffy-heartbeat".into())
-            .spawn(move || loop {
-                std::thread::sleep(interval);
-                let Some(server) = worker.upgrade() else {
-                    break;
-                };
-                if !server.send_heartbeat() {
-                    break;
+            .spawn(move || {
+                while !stop.wait(interval) {
+                    if !worker.upgrade().is_some_and(|s| s.send_heartbeat()) {
+                        break;
+                    }
                 }
             })
             .expect("invariant: thread spawn fails only on OS resource exhaustion");
@@ -852,6 +853,12 @@ impl MemoryServer {
                 true
             }
         }
+    }
+}
+
+impl Drop for MemoryServer {
+    fn drop(&mut self) {
+        self.heartbeat_stop.stop();
     }
 }
 

@@ -22,6 +22,10 @@
 //!    `jiffy_sync::model(|| ...)` with `jiffy_sync::thread::spawn`;
 //!    see DESIGN.md §8 for the recipe.
 //!
+//! On top of the primitives sits [`StopSignal`], the stop-aware interval
+//! wait every periodic worker uses instead of `thread::sleep` (enforced
+//! by `cargo xtask lint`, rule `stoppable-sleep`).
+//!
 //! Types deliberately NOT re-routed: `Arc`/`Weak` (plain std re-exports;
 //! the loom stand-in does not track reference counts), `Barrier`, and
 //! `mpsc` (std re-exports, unmodeled — don't use them inside loom
@@ -31,6 +35,9 @@
 mod order;
 #[cfg(not(feature = "loom"))]
 mod plain;
+mod stop;
+
+pub use stop::StopSignal;
 
 #[cfg(not(feature = "loom"))]
 pub use plain::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -138,6 +145,25 @@ mod tests {
         let c = Condvar::new();
         let mut g = m.lock();
         assert!(c.wait_for(&mut g, Duration::from_millis(5)));
+    }
+
+    #[test]
+    fn stop_signal_waits_out_the_interval_unless_stopped() {
+        let signal = Arc::new(StopSignal::new());
+        let begun = std::time::Instant::now();
+        assert!(!signal.wait(Duration::from_millis(20)));
+        assert!(begun.elapsed() >= Duration::from_millis(20));
+        assert!(!signal.is_stopped());
+
+        let s2 = signal.clone();
+        let begun = std::time::Instant::now();
+        let waiter = thread::spawn(move || s2.wait(Duration::from_secs(30)));
+        std::thread::sleep(Duration::from_millis(10));
+        signal.stop();
+        assert!(waiter.join().unwrap(), "the waiter saw the stop");
+        assert!(begun.elapsed() < Duration::from_secs(5));
+        assert!(signal.is_stopped());
+        assert!(signal.wait(Duration::MAX), "stopped: returns at once");
     }
 
     #[test]

@@ -391,3 +391,56 @@ fn autoscaler_grows_and_shrinks_the_pool_under_live_workload() {
         assert!(n >= *round, "wl-k{k}: acked round {round} lost (found {n})");
     }
 }
+
+/// Tear-down costs wake-ups, not intervals: with every periodic worker
+/// (per-shard lease expiry, elasticity, per-server heartbeat) parked in
+/// a 30 s wait, crashing and restarting the control plane and dropping
+/// the whole TCP cluster each finish in well under a second.
+#[test]
+fn teardown_and_controller_restart_do_not_wait_out_worker_intervals() {
+    let long = Duration::from_secs(30);
+    let mut cfg = JiffyConfig::for_testing().with_heartbeats(long, 2 * long);
+    cfg.lease_scan_interval = long;
+    cfg.elasticity_interval = long;
+    let prompt = |what: &str, begun: Instant| {
+        let took = begun.elapsed();
+        assert!(took < Duration::from_secs(1), "{what} took {took:?}");
+    };
+    for shards in [4, 1] {
+        let mut cluster = JiffyCluster::build_with_shards(
+            cfg.clone(),
+            2,
+            8,
+            jiffy_common::clock::SystemClock::shared(),
+            Arc::new(jiffy_persistent::MemObjectStore::new()),
+            true,
+            true,
+            shards,
+        )
+        .unwrap();
+        cluster.start_elasticity(AutoscalerPolicy::new(0.25, 0.70, 2, 3));
+        let job = cluster.client().unwrap().register_job("live").unwrap();
+        job.open_kv("kv", &[], 1).unwrap().put(b"k", b"v").unwrap();
+        // Let every worker reach its wait.
+        std::thread::sleep(Duration::from_millis(50));
+
+        let begun = Instant::now();
+        for idx in 0..shards {
+            // On the unsharded cluster these are crash_controller and
+            // restart_controller.
+            cluster.crash_controller_shard(idx);
+            cluster.restart_controller_shard(idx).unwrap();
+        }
+        prompt("controller crash + restart", begun);
+        assert_eq!(
+            job.open_kv("kv", &[], 1).unwrap().get(b"k").unwrap(),
+            Some(b"v".to_vec())
+        );
+
+        let begun = Instant::now();
+        cluster.stop_elasticity();
+        drop(job);
+        drop(cluster);
+        prompt("cluster drop", begun);
+    }
+}

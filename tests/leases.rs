@@ -122,3 +122,65 @@ fn background_renewer_keeps_prefixes_alive_under_system_clock() {
     std::thread::sleep(Duration::from_millis(900));
     assert_eq!(cluster.used_bytes(), 0);
 }
+
+#[test]
+fn stopping_a_renewer_does_not_wait_out_its_interval() {
+    let cluster = JiffyCluster::in_process(JiffyConfig::for_testing(), 1, 8).unwrap();
+    let job = cluster.client().unwrap().register_job("prompt").unwrap();
+    job.open_kv("hot", &[], 1).unwrap();
+    let long = Duration::from_secs(30);
+    for explicit_stop in [true, false] {
+        let mut renewer = job.start_lease_renewer(vec!["hot".to_string()], long);
+        // The first renewal is immediate, not one interval away.
+        let begun = std::time::Instant::now();
+        while renewer.renewals() == 0 {
+            assert!(begun.elapsed() < Duration::from_secs(5), "no first renewal");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The renewer is now inside its 30 s wait.
+        let begun = std::time::Instant::now();
+        if explicit_stop {
+            renewer.stop();
+            assert_eq!(renewer.renewals(), 1);
+        }
+        drop(renewer);
+        assert!(
+            begun.elapsed() < Duration::from_secs(1),
+            "stop waited {:?} of a 30 s interval",
+            begun.elapsed()
+        );
+    }
+}
+
+#[test]
+fn renewer_ticks_once_per_interval_and_follows_track_untrack() {
+    let cluster = JiffyCluster::in_process(JiffyConfig::for_testing(), 1, 8).unwrap();
+    let job = cluster.client().unwrap().register_job("ticking").unwrap();
+    job.open_kv("a", &[], 1).unwrap();
+    job.open_kv("b", &[], 1).unwrap();
+    let interval = Duration::from_millis(50);
+    let renewer = job.start_lease_renewer(vec!["a".to_string()], interval);
+    std::thread::sleep(5 * interval);
+    // One renewal at start plus one per elapsed interval: 6 on an idle
+    // host, fewer if ticks ran late, never a burst.
+    let ticks = renewer.renewals();
+    assert!((4..=8).contains(&ticks), "{ticks} renewals in 5 intervals");
+
+    // A tracked prefix is renewed from the next tick on: two per tick.
+    renewer.track("b");
+    let before = renewer.renewals();
+    std::thread::sleep(3 * interval);
+    let both = renewer.renewals() - before;
+    assert!(
+        (4..=8).contains(&both),
+        "{both} renewals of 2 prefixes in 3 intervals"
+    );
+
+    // With nothing tracked the loop keeps ticking but renews nothing.
+    renewer.untrack("a");
+    renewer.untrack("b");
+    std::thread::sleep(2 * interval);
+    let before = renewer.renewals();
+    std::thread::sleep(3 * interval);
+    assert_eq!(renewer.renewals(), before);
+}

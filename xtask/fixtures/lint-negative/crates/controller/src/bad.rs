@@ -46,6 +46,15 @@ fn internal_probe(conn: &Conn) -> Result<Envelope, ()> {
     })
 }
 
+fn periodic_worker(interval: std::time::Duration) {
+    std::thread::Builder::new()
+        .spawn(move || loop {
+            std::thread::sleep(interval); // rule: stoppable-sleep — nobody can stop this wait
+            tick();
+        })
+        .ok();
+}
+
 #[cfg(test)]
 mod tests {
     // Exempt region: none of these may be reported.

@@ -43,6 +43,15 @@
 //!    bypasses the block replay window (DESIGN.md §16); spelling it
 //!    `INTERNAL_RID` keeps that bypass greppable and keeps a refactor
 //!    from silently turning a client path into untracked traffic.
+//! 7. **stoppable-sleep** — outside test code and the measurement crates
+//!    (`bench`, `benchmark`, `harness`, `sim`), no `thread::sleep`
+//!    lexically inside a `spawn(..)` closure. A spawned loop that sleeps
+//!    cannot be stopped before the sleep ends, and whoever joins it pays
+//!    the remainder (a 200 ms lease-renewal interval per MapReduce job
+//!    before ISSUE 20); periodic workers wait on
+//!    `jiffy_sync::StopSignal::wait` instead. A vetted sleep carries
+//!    `// xtask-allow(stoppable-sleep): <reason>` on its line or the
+//!    line above.
 
 use std::fmt;
 use std::fs;
@@ -106,6 +115,11 @@ pub const RULES: &[RuleMeta] = &[
         summary: "internal data envelopes spell out INTERNAL_RID",
     },
     RuleMeta {
+        name: "stoppable-sleep",
+        phase: RulePhase::Lint,
+        summary: "spawned loops wait on a StopSignal, never thread::sleep",
+    },
+    RuleMeta {
         name: "no-guard-across-rpc",
         phase: RulePhase::Analyze,
         summary: "no jiffy-sync guard live across a transport call",
@@ -142,7 +156,7 @@ pub fn is_known_rule(name: &str) -> bool {
 pub struct Violation {
     /// Which rule fired: `"sync-facade"`, `"no-unwrap"`,
     /// `"error-taxonomy"`, `"exhaustive-dispatch"`,
-    /// `"journal-before-ack"`, `"internal-rid"`.
+    /// `"journal-before-ack"`, `"internal-rid"`, `"stoppable-sleep"`.
     pub rule: &'static str,
     /// Path relative to the lint root.
     pub path: PathBuf,
@@ -198,6 +212,9 @@ pub fn lint_file(rel: &Path, text: &str, out: &mut Vec<Violation>) {
     if !scope.rid_exempt && !scope.test_only {
         check_internal_rid(rel, text, out);
     }
+    if !scope.measurement && !scope.test_only {
+        check_stoppable_sleep(rel, text, out);
+    }
     let mut tests = TestRegionTracker::new();
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -235,6 +252,9 @@ struct Scope {
     /// `crates/proto` defines `INTERNAL_RID` (and pins its wire value in
     /// examples): exempt from the internal-rid rule.
     rid_exempt: bool,
+    /// `crates/{bench,benchmark,harness,sim}` pace load and simulate
+    /// latency with sleeps on purpose: exempt from stoppable-sleep.
+    measurement: bool,
     /// Dedicated test trees (`tests/`, `benches/`, `examples/`): only the
     /// sync-facade rule applies.
     test_only: bool,
@@ -264,6 +284,7 @@ impl Scope {
                 Some("sync") => scope.facade_exempt = true,
                 Some("common") => scope.taxonomy_exempt = true,
                 Some("proto") => scope.rid_exempt = true,
+                Some("bench" | "benchmark" | "harness" | "sim") => scope.measurement = true,
                 Some(name) if DATA_PATH_CRATES.contains(&name) => {
                     scope.data_path = true;
                     // rpc is both data-path (no-unwrap applies) and a
@@ -636,6 +657,77 @@ fn check_internal_rid(rel: &Path, text: &str, out: &mut Vec<Violation>) {
     }
 }
 
+/// Rule 7: a `thread::sleep` lexically inside a `spawn(..)` call's
+/// arguments — the closure a new thread runs.
+///
+/// Token-based (the sleep is usually several lines and a `loop` away
+/// from its `spawn(`): every non-test function body is scanned for
+/// `spawn (` groups, `Builder::spawn` and `thread::spawn` alike, and
+/// each group for `thread :: sleep`. Sleeps in functions the closure
+/// merely *calls* are out of scope by design — the rule keeps the loop
+/// shape itself from coming back, it is not a reachability analysis.
+fn check_stoppable_sleep(rel: &Path, text: &str, out: &mut Vec<Violation>) {
+    use lex::TokKind::{Ident, Punct};
+    let lexed = lex::lex(text);
+    let toks = &lexed.toks;
+    let is = |i: usize, kind: lex::TokKind, text: &str| {
+        toks.get(i)
+            .is_some_and(|t| t.kind == kind && t.text == text)
+    };
+    let mut lines: Vec<usize> = Vec::new();
+    for item in parse::parse_items(&lexed).iter().filter(|f| !f.is_test) {
+        let mut i = item.body.start;
+        while i < item.body.end {
+            if !(is(i, Ident, "spawn") && is(i + 1, Punct('('), "(")) {
+                i += 1;
+                continue;
+            }
+            // The call's argument group: from its `(` to the matching `)`.
+            let mut depth = 0usize;
+            let mut j = i + 1;
+            while j < item.body.end {
+                match toks[j].kind {
+                    Punct('(') => depth += 1,
+                    Punct(')') => depth -= 1,
+                    _ => {}
+                }
+                if depth == 0 {
+                    break;
+                }
+                let sleeps = is(j, Ident, "thread")
+                    && is(j + 1, Punct(':'), ":")
+                    && is(j + 2, Punct(':'), ":")
+                    && is(j + 3, Ident, "sleep");
+                let line = toks[j].line;
+                let allowed = |ln: usize| {
+                    lexed
+                        .allow_on("stoppable-sleep", ln)
+                        .is_some_and(|a| !a.reason.is_empty())
+                };
+                if sleeps && !allowed(line) && !allowed(line.saturating_sub(1)) {
+                    lines.push(line);
+                }
+                j += 1;
+            }
+            i = j;
+        }
+    }
+    // Nested fn items are scanned once per enclosing body.
+    lines.sort_unstable();
+    lines.dedup();
+    for line in lines {
+        out.push(Violation {
+            rule: "stoppable-sleep",
+            path: rel.to_path_buf(),
+            line,
+            message: "`thread::sleep` inside a `spawn(..)` closure — the thread cannot be \
+                      stopped before the sleep ends and its joiner pays the remainder; wait on \
+                      `jiffy_sync::StopSignal::wait(interval)` instead (DESIGN.md §8)"
+                .into(),
+        });
+    }
+}
+
 /// Does the line contain `id: 0` as a whole field init (not `rid: 0`,
 /// `id: 0x...`, an identifier suffix, ...)?
 fn has_bare_zero_id(code: &str) -> bool {
@@ -965,6 +1057,53 @@ fn probe(conn: &Conn) -> Result<Envelope> {
         ] {
             assert!(lint_str(rel, ok).is_empty(), "{rel}: {ok}");
         }
+    }
+
+    #[test]
+    fn stoppable_sleep_flags_sleeps_inside_spawn_closures_only() {
+        let looping = "\
+fn start(interval: Duration) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(\"worker\".into())
+        .spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                std::thread::sleep(interval);
+                tick();
+            }
+        })
+        .expect(\"invariant: spawn\")
+}
+";
+        let v = lint_str("crates/client/src/lease.rs", looping);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "stoppable-sleep");
+        assert_eq!(v[0].line, 6);
+        // `thread::spawn(..)` is the same shape without the builder.
+        let bare = "fn f() { thread::spawn(|| loop { thread::sleep(D); }); }\n";
+        assert_eq!(lint_str("crates/models/src/x.rs", bare).len(), 1);
+        // Measurement crates and test trees pace themselves with sleeps.
+        for exempt in [
+            "crates/bench/src/bin/x.rs",
+            "crates/benchmark/src/load.rs",
+            "crates/harness/src/runner.rs",
+            "crates/sim/src/lib.rs",
+            "tests/chaos.rs",
+        ] {
+            assert!(lint_str(exempt, looping).is_empty(), "{exempt}");
+        }
+        // Not in a spawn closure, the stop-aware wait, a vetted sleep
+        // and test code: all clean.
+        for ok in [
+            "fn backoff() { std::thread::sleep(RETRY_BACKOFF); }\n",
+            "fn f() { thread::spawn(move || while !stop.wait(interval) { tick(); }); }\n",
+            "fn f() {\n    thread::spawn(|| {\n        // xtask-allow(stoppable-sleep): one-shot delay, never joined\n        thread::sleep(D);\n    });\n}\n",
+            "#[cfg(test)]\nmod tests {\n    fn t() { thread::spawn(|| thread::sleep(D)); }\n}\n",
+        ] {
+            assert!(lint_str("crates/client/src/x.rs", ok).is_empty(), "{ok}");
+        }
+        // An allow without a reason does not suppress.
+        let unreasoned = "fn f() {\n    thread::spawn(|| {\n        // xtask-allow(stoppable-sleep):\n        thread::sleep(D);\n    });\n}\n";
+        assert_eq!(lint_str("crates/client/src/x.rs", unreasoned).len(), 1);
     }
 
     #[test]

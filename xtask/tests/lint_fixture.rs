@@ -35,14 +35,15 @@ fn negative_fixture_trips_every_rule() {
             && rules.contains("error-taxonomy")
             && rules.contains("exhaustive-dispatch")
             && rules.contains("journal-before-ack")
-            && rules.contains("internal-rid"),
-        "fixture must trip all six rules, got {rules:?}: {violations:?}"
+            && rules.contains("internal-rid")
+            && rules.contains("stoppable-sleep"),
+        "fixture must trip all seven rules, got {rules:?}: {violations:?}"
     );
     // The #[cfg(test)] block in the fixture must stay exempt.
     assert!(
-        violations.iter().all(|v| v.line < 49),
+        violations.iter().all(|v| v.line < 58),
         "no violations from the fixture's test module: {violations:?}"
     );
-    // Exactly the eight seeded non-test violations.
-    assert_eq!(violations.len(), 8, "{violations:?}");
+    // Exactly the nine seeded non-test violations.
+    assert_eq!(violations.len(), 9, "{violations:?}");
 }
