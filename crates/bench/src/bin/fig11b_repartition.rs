@@ -29,7 +29,7 @@ fn main() {
         .with_thresholds(0.01, 0.99);
     // No expiry worker: this harness measures repartitioning, not
     // lifetime management, and must not race lease reclamation.
-    let cluster = JiffyCluster::build(
+    let cluster = JiffyCluster::build_with_shards(
         cfg,
         2,
         32,
@@ -37,6 +37,7 @@ fn main() {
         Arc::new(MemObjectStore::new()),
         false,
         false,
+        1,
     )
     .unwrap();
     let client = cluster.client().unwrap();

@@ -15,12 +15,19 @@ use jiffy_controller::{Controller, NoopDataPlane, ShardedController};
 use jiffy_persistent::MemObjectStore;
 use jiffy_proto::{ControlRequest, ControlResponse};
 
+/// One shard of a one-shard control plane.
 fn new_shard() -> Arc<Controller> {
-    Controller::new(
+    new_plane(1).shard(0)
+}
+
+/// A control plane of `shards` shards over one in-memory store.
+fn new_plane(shards: usize) -> ShardedController {
+    ShardedController::build(
         JiffyConfig::default(),
         SystemClock::shared(),
         Arc::new(NoopDataPlane),
         Arc::new(MemObjectStore::new()),
+        shards as u32,
     )
     .unwrap()
 }
@@ -123,9 +130,10 @@ fn main() {
     println!("(the paper's 42 KOps/core includes Thrift RPC costs; this run includes");
     println!(" our framed-TCP stack so the numbers are comparable)");
     {
-        let ctrl = new_shard();
-        let job = setup_job(&ctrl);
-        let server = jiffy_rpc::tcp::serve_tcp("127.0.0.1:0", ctrl.clone()).unwrap();
+        // The router is the endpoint; one shard behind it.
+        let plane = Arc::new(new_plane(1));
+        let job = setup_job(&plane.shard(0));
+        let server = jiffy_rpc::tcp::serve_tcp("127.0.0.1:0", plane.clone()).unwrap();
         let addr = server.addr().to_string();
         for clients in [1usize, 4, 16] {
             let stop = Arc::new(jiffy_sync::atomic::AtomicBool::new(false));
@@ -182,7 +190,7 @@ fn main() {
         "shards", "per-shard op/s", "aggregate op/s"
     );
     for shards in [1usize, 2, 4, 8, 16] {
-        let sharded = ShardedController::new((0..shards).map(|_| new_shard()).collect());
+        let sharded = new_plane(shards);
         let mut per_shard = Vec::new();
         for s in 0..shards {
             let ctrl = sharded.shard(s);

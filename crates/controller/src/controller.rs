@@ -16,7 +16,7 @@ use jiffy_proto::{
     SplitSpec, TenantLoad, TenantStatsEntry, INTERNAL_RID,
 };
 use jiffy_qos::{weighted_max_min, TenantDirectory};
-use jiffy_rpc::{Fabric, Service, SessionHandle};
+use jiffy_rpc::Fabric;
 use jiffy_sync::atomic::{AtomicU64, Ordering};
 use jiffy_sync::{Mutex, StopSignal};
 use serde::{Deserialize, Serialize};
@@ -433,7 +433,10 @@ pub struct ShardIdentity {
 }
 
 impl ShardIdentity {
-    /// The identity of an unsharded (single) controller.
+    /// The identity of a standalone controller: the only shard of a
+    /// control plane of its own (unit tests and micro-benches drive one
+    /// directly; a served control plane gets its identities from
+    /// [`crate::ShardedController::build`]).
     pub fn solo() -> Self {
         Self {
             index: 0,
@@ -452,9 +455,10 @@ impl ShardIdentity {
     }
 
     /// The persistent-tier prefix under which this shard keeps its
-    /// journal and snapshots. A single-shard control plane uses the
-    /// historical unsharded layout so existing deployments recover
-    /// unchanged; shards use disjoint `jiffy-meta/shard-{i}/` subtrees.
+    /// journal and snapshots. A one-shard control plane uses the plain
+    /// `jiffy-meta/` layout, so stores written before sharding existed
+    /// recover unchanged; N > 1 shards use disjoint
+    /// `jiffy-meta/shard-{i}/` subtrees.
     pub fn meta_prefix(&self) -> String {
         if self.count <= 1 {
             journal::META_PREFIX.to_string()
@@ -661,17 +665,6 @@ impl Controller {
         }))
     }
 
-    /// The metadata view epoch stamped on this controller's response
-    /// envelopes (shared across all shards of one control plane).
-    pub fn view_epoch(&self) -> u64 {
-        self.shard.epoch.load(Ordering::SeqCst)
-    }
-
-    /// This controller's shard identity.
-    pub fn shard_identity(&self) -> &ShardIdentity {
-        &self.shard
-    }
-
     /// Enumerates `(job, job name, [(node, parents)])` for every
     /// registered job. The shard router rebuilds its root-component
     /// table from this after constructing or restarting shards.
@@ -831,8 +824,9 @@ impl Controller {
     }
 
     /// Handles one control request on behalf of the anonymous tenant
-    /// (also reachable through the [`Service`] impl; exposed directly
-    /// for in-process callers like the simulator).
+    /// (over the wire it arrives through the shard router's `Service`
+    /// impl; exposed directly for in-process callers like the
+    /// simulator).
     pub fn dispatch(&self, req: ControlRequest) -> Result<ControlResponse> {
         self.dispatch_as(req, TenantId::ANONYMOUS)
     }
@@ -2192,34 +2186,6 @@ impl Controller {
 struct InitKvMirror {
     ranges: Vec<(u32, u32)>,
     num_slots: u32,
-}
-
-impl Service for Controller {
-    fn handle(&self, req: Envelope, _session: &SessionHandle) -> Envelope {
-        match req {
-            Envelope::ControlReq { id, req, tenant } => {
-                let resp = self.dispatch_as(req, tenant);
-                // Load the epoch AFTER dispatch so a response to the
-                // very op that moved placement already carries the bump.
-                Envelope::ControlResp {
-                    id,
-                    resp,
-                    epoch: self.view_epoch(),
-                }
-            }
-            Envelope::DataReq { id, .. } => Envelope::DataResp {
-                id,
-                resp: Err(JiffyError::Rpc(
-                    "data request sent to the controller".into(),
-                )),
-            },
-            other => Envelope::ControlResp {
-                id: 0,
-                resp: Err(JiffyError::Rpc(format!("unexpected envelope {other:?}"))),
-                epoch: self.view_epoch(),
-            },
-        }
-    }
 }
 
 /// Handle keeping an expiry or elasticity worker alive; stops it on drop.

@@ -44,11 +44,11 @@ use crate::freelist::{FreeList, FreeListMirror};
 use crate::hierarchy::{AddressHierarchy, Node, Permissions};
 use crate::meta::{DsMeta, DsSkeleton};
 
-/// Object-store prefix under which an unsharded controller's metadata
-/// lives. Shard `i` of a sharded control plane uses
-/// `jiffy-meta/shard-{i}/` instead, giving every shard its own journal
-/// and snapshot stream (see [`Journal::fresh`] / [`recover_from`],
-/// which take the prefix explicitly).
+/// Object-store prefix under which a one-shard control plane's metadata
+/// lives. Shard `i` of a larger one uses `jiffy-meta/shard-{i}/`
+/// instead, giving every shard its own journal and snapshot stream (see
+/// [`Journal::fresh`] / [`recover_from`], which take the prefix
+/// explicitly).
 pub(crate) const META_PREFIX: &str = "jiffy-meta/";
 /// Journal batch objects live at `{meta_prefix}journal/{first_seq:020}`.
 const JOURNAL_DIR: &str = "journal/";

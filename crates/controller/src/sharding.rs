@@ -31,8 +31,7 @@ use jiffy_rpc::{Service, SessionHandle};
 
 use crate::controller::{Controller, DataPlane, ShardIdentity};
 
-/// Everything needed to re-create a shard after a crash. Present only
-/// when the router built its own shards (see [`ShardedController::build`]).
+/// Everything needed to re-create a shard after a crash.
 struct RebuildCtx {
     cfg: JiffyConfig,
     clock: SharedClock,
@@ -51,52 +50,30 @@ pub struct ShardedController {
     map: ShardMap,
     /// `(job, node name) → root component name`, so bare-name requests
     /// (renewals, resolves) route to the shard owning the node's root.
-    /// Updated on successful creates/removes, rebuilt from shard state
-    /// on restart.
+    /// Soft state: updated on successful creates/removes, re-derived
+    /// from shard state on restart.
     roots: RwLock<HashMap<(u64, String), String>>,
-    /// View epoch shared by every shard; stamped on response envelopes.
+    /// The control plane's one view epoch: shared by every shard,
+    /// stamped on response envelopes, and — living here rather than in
+    /// any shard — never regressed by a restart.
     epoch: Arc<AtomicU64>,
     /// Round-robin cursor for server placement: each joining server is
     /// owned by exactly one shard, and round-robin keeps per-shard
     /// capacity balanced (an address hash could starve a shard of
     /// servers entirely). The owning shard mints the server's id from
     /// its strided range, so all later by-id routing lands back on it
-    /// without consulting this cursor.
+    /// without consulting this cursor. Soft state: a restart resumes it
+    /// at the recovered member count.
     joins: AtomicU64,
-    rebuild: Option<RebuildCtx>,
+    rebuild: RebuildCtx,
 }
 
 impl ShardedController {
-    /// Wraps existing, independently-constructed shards (benchmarks
-    /// drive shards directly to measure shared-nothing scaling). For a
-    /// crash-restartable control plane use [`ShardedController::build`].
-    pub fn new(shards: Vec<Arc<Controller>>) -> Self {
-        assert!(!shards.is_empty(), "need at least one shard");
-        let map = ShardMap {
-            num_shards: shards.len() as u32,
-        };
-        let epoch = shards[0].shard_identity().epoch.clone();
-        let sc = Self {
-            slots: shards.into_iter().map(|s| RwLock::new(Some(s))).collect(),
-            map,
-            roots: RwLock::new(HashMap::new()),
-            epoch,
-            joins: AtomicU64::new(0),
-            rebuild: None,
-        };
-        for i in 0..sc.num_shards() {
-            if let Some(ctrl) = sc.slots[i].read().as_ref() {
-                sc.absorb_roots_of(ctrl);
-            }
-        }
-        sc
-    }
-
     /// Builds a control plane of `num_shards` shards over one persistent
     /// tier, each journaling under `jiffy-meta/shard-{i}/` (plain
-    /// `jiffy-meta/` when `num_shards == 1`, matching the unsharded
-    /// layout) and all sharing one view epoch. Keeps the construction
-    /// inputs so individual shards can be crashed and re-recovered.
+    /// `jiffy-meta/` when `num_shards == 1`) and all sharing one view
+    /// epoch. Keeps the construction inputs so individual shards can be
+    /// crashed and re-recovered.
     ///
     /// # Errors
     ///
@@ -119,7 +96,7 @@ impl ShardedController {
                 persistent.clone(),
                 ShardIdentity::member(i, num_shards, epoch.clone()),
             )?;
-            slots.push(RwLock::new(Some(shard)));
+            slots.push(RwLock::new_named(Some(shard), "slots"));
         }
         Ok(Self {
             slots,
@@ -127,12 +104,12 @@ impl ShardedController {
             roots: RwLock::new(HashMap::new()),
             epoch,
             joins: AtomicU64::new(0),
-            rebuild: Some(RebuildCtx {
+            rebuild: RebuildCtx {
                 cfg,
                 clock,
                 dataplane,
                 persistent,
-            }),
+            },
         })
     }
 
@@ -183,18 +160,22 @@ impl ShardedController {
         self.slots[idx].read().is_some()
     }
 
+    /// Forgets the router's soft state (learned roots, join cursor), as
+    /// a crash of the whole control plane does; [`Self::restart_shard`]
+    /// re-derives both from what the shards recover.
+    pub fn forget_soft_state(&self) {
+        self.roots.write().clear();
+        self.joins.store(0, Ordering::Relaxed);
+    }
+
     /// Recovers shard `i` from its journal prefix and brings its slot
-    /// back up. Only available on routers constructed via
-    /// [`ShardedController::build`].
+    /// back up.
     ///
     /// # Errors
     ///
-    /// [`JiffyError::Internal`] if the router wrapped externally-built
-    /// shards; otherwise journal recovery failures.
+    /// Journal recovery failures.
     pub fn restart_shard(&self, idx: usize) -> Result<Arc<Controller>> {
-        let ctx = self.rebuild.as_ref().ok_or_else(|| {
-            JiffyError::Internal("router wraps external shards; cannot restart".into())
-        })?;
+        let ctx = &self.rebuild;
         let shard = Controller::recover_sharded(
             ctx.cfg.clone(),
             ctx.clock.clone(),
@@ -204,6 +185,15 @@ impl ShardedController {
         )?;
         self.absorb_roots_of(&shard);
         *self.slots[idx].write() = Some(shard.clone());
+        // Round-robin stood at one past the last join: resume it at the
+        // live member count across the shards that are up.
+        let live: Vec<Arc<Controller>> = self
+            .slots
+            .iter()
+            .filter_map(|slot| slot.read().clone())
+            .collect();
+        let members: u64 = live.iter().map(|s| s.stats().servers).sum();
+        self.joins.store(members, Ordering::Relaxed);
         Ok(shard)
     }
 
@@ -873,11 +863,12 @@ mod tests {
         .unwrap();
         let before = sc.view_epoch();
         sc.crash_shard(1);
-        // Wipe the router's learned roots to prove restart re-learns them.
-        sc.roots.write().clear();
+        // Wipe the router's soft state to prove restart re-derives it.
+        sc.forget_soft_state();
         sc.restart_shard(1).unwrap();
         assert!(sc.view_epoch() > before, "recovery must bump the epoch");
         assert_eq!(sc.root_of(job, "leaf"), root);
+        assert_eq!(sc.joins.load(Ordering::Relaxed), 4, "cursor resumes");
         match sc
             .dispatch(ControlRequest::RenewLease {
                 job,
@@ -894,19 +885,7 @@ mod tests {
 
     #[test]
     fn shards_operate_independently() {
-        let sc = ShardedController::new(
-            (0..2)
-                .map(|_| {
-                    Controller::new(
-                        JiffyConfig::for_testing(),
-                        SystemClock::shared(),
-                        Arc::new(NoopDataPlane),
-                        Arc::new(MemObjectStore::new()),
-                    )
-                    .unwrap()
-                })
-                .collect(),
-        );
+        let sc = build(2);
         for i in 0..2 {
             sc.shard(i)
                 .dispatch(ControlRequest::JoinServer {

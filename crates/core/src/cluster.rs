@@ -1,7 +1,14 @@
-//! Cluster bootstrap: wire a controller, memory servers, persistent
+//! Cluster bootstrap: wire a control plane, memory servers, persistent
 //! tier and client fabric together, in-process or over TCP — plus the
 //! elastic server pool: add, drain, and kill servers at runtime, and
 //! run the demand-driven autoscaler against the live pool.
+//!
+//! Three constructors, one wiring: [`JiffyCluster::build_with_shards`]
+//! takes everything explicitly (clock, persistent tier, expiry workers,
+//! transport, controller shards); [`JiffyCluster::in_process`] and
+//! [`JiffyCluster::over_tcp`] are its one-shard conveniences. Every
+//! cluster's control plane is a `ShardedController` of N ≥ 1 shards
+//! behind one endpoint (DESIGN.md §15).
 
 use jiffy_sync::{Arc, Mutex, RwLock};
 
@@ -74,53 +81,82 @@ impl ClusterInner {
     }
 }
 
-/// [`ServerProvider`] backed by the cluster itself: scale-up boots an
-/// in-process (or TCP) memory server with the cluster's default block
-/// count; scale-down tears the drained server's endpoint down.
-struct ClusterProvider {
-    inner: Arc<ClusterInner>,
-}
-
-impl ServerProvider for ClusterProvider {
+/// The [`ServerProvider`] the autoscaler acts through is the cluster
+/// itself: scale-up boots an in-process (or TCP) memory server with the
+/// cluster's default block count; scale-down tears the drained server's
+/// endpoint down.
+impl ServerProvider for ClusterInner {
     fn provision(&self) -> Result<ServerId> {
-        self.inner.spawn_server(self.inner.blocks_per_server)
+        self.spawn_server(self.blocks_per_server)
     }
 
     fn decommission(&self, server: ServerId) -> Result<()> {
-        self.inner.remove_server(server);
+        self.remove_server(server);
         Ok(())
     }
 }
 
-/// A running Jiffy cluster (controller + memory servers) plus the fabric
-/// to reach it. Dropping the cluster stops its background workers.
+/// Puts the control plane on the wire behind a fresh [`Deduplicated`]
+/// — the control plane's one dedup mechanism: a per-session replay
+/// cache, so a client retrying a timed-out request (same request id)
+/// never runs a non-idempotent handler twice. (Memory servers are served
+/// bare: their dedup is the per-block replay window.) `at` is `None` at
+/// boot (a fresh hub name / ephemeral port) and the address clients
+/// already hold at a restart.
+fn serve_control(
+    fabric: &Fabric,
+    control: &Arc<ShardedController>,
+    tcp: bool,
+    at: Option<&str>,
+) -> Result<(String, Option<TcpServerHandle>)> {
+    let svc: Arc<dyn Service> = Deduplicated::shared(control.clone());
+    if !tcp {
+        let Some(addr) = at else {
+            return Ok((fabric.hub().register(svc), None));
+        };
+        fabric.hub().register_at(addr, svc)?;
+        return Ok((addr.to_string(), None));
+    }
+    let hostport = at.map_or("127.0.0.1:0", |a| a.strip_prefix("tcp:").unwrap_or(a));
+    // A crashed listener's sockets may linger briefly; retry the bind
+    // for a bounded window.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        match serve_tcp(hostport, svc.clone()) {
+            Ok(handle) => return Ok((handle.addr().to_string(), Some(handle))),
+            Err(e) if std::time::Instant::now() >= deadline => return Err(e),
+            Err(_) => std::thread::sleep(std::time::Duration::from_millis(20)),
+        }
+    }
+}
+
+/// A running Jiffy cluster (control plane + memory servers) plus the
+/// fabric to reach it. Dropping the cluster stops its background workers.
 ///
-/// The controller slot is swappable: [`JiffyCluster::crash_controller`]
-/// tears the current instance's transport and workers down (its memory
-/// state is lost, exactly like a process crash), and
-/// [`JiffyCluster::restart_controller`] recovers a fresh instance from
-/// the metadata journal in the persistent tier at the same address.
+/// The control plane is always a [`ShardedController`] of N ≥ 1 shards
+/// behind one endpoint (DESIGN.md §15). A crash abandons in-memory
+/// state exactly like a process crash — one shard
+/// ([`JiffyCluster::crash_controller_shard`]) or the whole plane with
+/// its endpoint ([`JiffyCluster::crash_controller`]) — and the matching
+/// restart recovers it from the metadata journal in the persistent tier
+/// at the same address.
 pub struct JiffyCluster {
-    controller: RwLock<Arc<Controller>>,
-    /// `Some` when the control plane is partitioned into shards; control
-    /// traffic then flows through the router and individual shards can
-    /// be crashed/recovered via [`JiffyCluster::crash_controller_shard`].
-    sharded: Option<Arc<ShardedController>>,
+    control: Arc<ShardedController>,
     persistent: Arc<dyn ObjectStore>,
     inner: Arc<ClusterInner>,
-    clock: SharedClock,
     run_expiry: bool,
-    /// Per-shard expiry workers (one slot when unsharded).
-    expiry: Mutex<Vec<Option<ControllerHandle>>>,
-    elastic: Mutex<Option<ControllerHandle>>,
+    /// Per-shard background workers (lease expiry, elasticity); empty
+    /// while the shard is crashed.
+    workers: Mutex<Vec<Vec<ControllerHandle>>>,
     autoscaler_policy: Mutex<Option<AutoscalerPolicy>>,
     controller_tcp: Mutex<Option<TcpServerHandle>>,
 }
 
 impl JiffyCluster {
     /// Boots an in-process cluster: `num_servers` memory servers with
-    /// `blocks_per_server` blocks each, a fresh in-memory persistent
-    /// tier, a system clock, and a running lease-expiry worker.
+    /// `blocks_per_server` blocks each, one controller shard, a fresh
+    /// in-memory persistent tier, a system clock, and a running
+    /// lease-expiry worker.
     ///
     /// # Errors
     ///
@@ -130,7 +166,7 @@ impl JiffyCluster {
         num_servers: usize,
         blocks_per_server: u32,
     ) -> Result<Self> {
-        Self::build(
+        Self::build_with_shards(
             cfg,
             num_servers,
             blocks_per_server,
@@ -138,17 +174,18 @@ impl JiffyCluster {
             Arc::new(MemObjectStore::new()),
             true,
             false,
+            1,
         )
     }
 
-    /// Boots a cluster whose controller and memory servers listen on
-    /// real TCP sockets (ephemeral ports on localhost).
+    /// [`Self::in_process`], but the control plane and the memory
+    /// servers listen on real TCP sockets (ephemeral ports on localhost).
     ///
     /// # Errors
     ///
     /// Bind or registration failures.
     pub fn over_tcp(cfg: JiffyConfig, num_servers: usize, blocks_per_server: u32) -> Result<Self> {
-        Self::build(
+        Self::build_with_shards(
             cfg,
             num_servers,
             blocks_per_server,
@@ -156,67 +193,16 @@ impl JiffyCluster {
             Arc::new(MemObjectStore::new()),
             true,
             true,
-        )
-    }
-
-    /// Fully parameterized bootstrap (custom clock, custom persistent
-    /// tier, optional expiry worker, in-proc or TCP transport).
-    ///
-    /// # Errors
-    ///
-    /// Bind or registration failures.
-    pub fn build(
-        cfg: JiffyConfig,
-        num_servers: usize,
-        blocks_per_server: u32,
-        clock: SharedClock,
-        persistent: Arc<dyn ObjectStore>,
-        run_expiry_worker: bool,
-        tcp: bool,
-    ) -> Result<Self> {
-        Self::build_with_shards(
-            cfg,
-            num_servers,
-            blocks_per_server,
-            clock,
-            persistent,
-            run_expiry_worker,
-            tcp,
             1,
         )
     }
 
-    /// Boots an in-process cluster whose control plane is partitioned
-    /// into `shards` controller shards behind one routing endpoint
-    /// (DESIGN.md §15). `shards == 1` is exactly [`Self::in_process`].
-    ///
-    /// # Errors
-    ///
-    /// Registration failures.
-    pub fn in_process_sharded(
-        cfg: JiffyConfig,
-        num_servers: usize,
-        blocks_per_server: u32,
-        shards: usize,
-    ) -> Result<Self> {
-        Self::build_with_shards(
-            cfg,
-            num_servers,
-            blocks_per_server,
-            SystemClock::shared(),
-            Arc::new(MemObjectStore::new()),
-            true,
-            false,
-            shards,
-        )
-    }
-
-    /// [`Self::build`] with a sharded control plane: `shards` in-process
-    /// controller shards, each journaling under its own
-    /// `jiffy-meta/shard-{i}/` prefix in the persistent tier, fronted by
-    /// a [`ShardedController`] router at one transport address. With
-    /// `shards <= 1` this is the unsharded path, byte-for-byte (single
-    /// `Controller`, plain `jiffy-meta/` journal prefix).
+    /// The one real constructor: custom clock, custom persistent tier,
+    /// optional expiry workers, in-proc or TCP transport, and a control
+    /// plane of `shards` (at least one) controller shards fronted by a
+    /// [`ShardedController`] router at one transport address. One shard
+    /// journals under plain `jiffy-meta/`, N > 1 under
+    /// `jiffy-meta/shard-{i}/` each (DESIGN.md §15).
     ///
     /// # Errors
     ///
@@ -233,38 +219,14 @@ impl JiffyCluster {
         shards: usize,
     ) -> Result<Self> {
         let fabric = Fabric::new();
-        let dataplane = Arc::new(RpcDataPlane::new(fabric.clone()));
-        let (controller, sharded) = if shards <= 1 {
-            let controller =
-                Controller::new(cfg.clone(), clock.clone(), dataplane, persistent.clone())?;
-            (controller, None)
-        } else {
-            let sc = Arc::new(ShardedController::build(
-                cfg.clone(),
-                clock.clone(),
-                dataplane,
-                persistent.clone(),
-                shards as u32,
-            )?);
-            (sc.shard(0), Some(sc))
-        };
-        // The control plane's one dedup mechanism: a per-session replay
-        // cache, so a client retrying a timed-out request (same request
-        // id) never runs a non-idempotent handler twice. Memory servers
-        // are served bare — their dedup is the per-block replay window.
-        let controller_svc: Arc<dyn Service> = match &sharded {
-            Some(sc) => Deduplicated::shared(sc.clone()),
-            None => Deduplicated::shared(controller.clone()),
-        };
-        let mut controller_tcp = None;
-        let controller_addr = if tcp {
-            let handle = serve_tcp("127.0.0.1:0", controller_svc)?;
-            let addr = handle.addr().to_string();
-            controller_tcp = Some(handle);
-            addr
-        } else {
-            fabric.hub().register(controller_svc)
-        };
+        let control = Arc::new(ShardedController::build(
+            cfg.clone(),
+            clock,
+            Arc::new(RpcDataPlane::new(fabric.clone())),
+            persistent.clone(),
+            shards as u32,
+        )?);
+        let (controller_addr, controller_tcp) = serve_control(&fabric, &control, tcp, None)?;
         let inner = Arc::new(ClusterInner {
             fabric,
             cfg,
@@ -277,24 +239,47 @@ impl JiffyCluster {
         for _ in 0..num_servers {
             inner.spawn_server(blocks_per_server)?;
         }
-        let expiry = match &sharded {
-            Some(sc) => (0..sc.num_shards())
-                .map(|i| run_expiry_worker.then(|| sc.shard(i).start_expiry_worker()))
-                .collect(),
-            None => vec![run_expiry_worker.then(|| controller.start_expiry_worker())],
-        };
-        Ok(Self {
-            controller: RwLock::new(controller),
-            sharded,
+        let cluster = Self {
+            workers: Mutex::new((0..control.num_shards()).map(|_| Vec::new()).collect()),
+            control,
             persistent,
             inner,
-            clock,
             run_expiry: run_expiry_worker,
-            expiry: Mutex::new(expiry),
-            elastic: Mutex::new(None),
             autoscaler_policy: Mutex::new(None),
             controller_tcp: Mutex::new(controller_tcp),
-        })
+        };
+        for idx in 0..cluster.controller_shards() {
+            cluster.arm_shard(idx);
+        }
+        Ok(cluster)
+    }
+
+    /// Starts (or replaces) shard `idx`'s background workers — the one
+    /// routine boot, every restart and [`Self::start_elasticity`] go
+    /// through: its lease-expiry worker and, when elasticity is on, its
+    /// elasticity worker (a failure-detector sweep over the servers that
+    /// shard owns, plus the autoscaler on the shard holding the hooks:
+    /// shard 0). Does nothing while the shard is crashed; its restart
+    /// arms it.
+    fn arm_shard(&self, idx: usize) {
+        let mut handles = Vec::new();
+        let policy = *self.autoscaler_policy.lock();
+        if self.control.shard_is_up(idx) {
+            let shard = self.control.shard(idx);
+            if self.run_expiry {
+                handles.push(shard.start_expiry_worker());
+            }
+            if let Some(policy) = policy {
+                if idx == 0 {
+                    shard.set_autoscaler(policy, self.inner.clone());
+                }
+                handles.push(shard.start_elasticity_worker());
+            }
+        }
+        // Swap under the lock, drop the old handles after it: a handle's
+        // Drop joins its worker thread.
+        let old = std::mem::replace(&mut self.workers.lock()[idx], handles);
+        drop(old);
     }
 
     /// A client connected to this cluster's controller.
@@ -352,15 +337,15 @@ impl JiffyCluster {
         ops_per_sec: u64,
         bytes_per_sec: u64,
     ) -> Result<()> {
-        self.dispatch_control(ControlRequest::SetTenantShare {
+        self.control.dispatch(ControlRequest::SetTenantShare {
             tenant,
             share,
             quota_bytes,
             ops_per_sec,
             bytes_per_sec,
         })?;
-        // Sharded mode fans SetTenantShare out to every shard, so any
-        // shard's limits table is authoritative.
+        // SetTenantShare fans out to every shard, so any shard's limits
+        // table is authoritative.
         let limits = self.controller().tenant_limits();
         for server in self.inner.servers.read().iter() {
             server.install_tenant_limits(&limits);
@@ -376,7 +361,7 @@ impl JiffyCluster {
     ///
     /// Controller dispatch failures.
     pub fn tenant_stats(&self) -> Result<Vec<jiffy_proto::TenantStatsEntry>> {
-        match self.dispatch_control(ControlRequest::TenantStats)? {
+        match self.control.dispatch(ControlRequest::TenantStats)? {
             ControlResponse::TenantStatsReport(entries) => Ok(entries),
             other => Err(JiffyError::Rpc(format!(
                 "unexpected tenant-stats reply: {other:?}"
@@ -389,39 +374,25 @@ impl JiffyCluster {
         &self.inner.fabric
     }
 
-    /// The current controller instance (for stats and direct dispatch
-    /// in tests/benches). Owned, because a crash/restart cycle swaps
-    /// the instance out from under the cluster. On a sharded cluster
-    /// this is shard 0.
+    /// Controller shard 0 (for stats and direct dispatch in tests and
+    /// benches; the only shard of a one-shard cluster). Owned, because a
+    /// crash/restart cycle swaps the instance out from under the cluster.
     ///
     /// # Panics
     ///
-    /// On a sharded cluster whose shard 0 is currently crashed.
+    /// While shard 0 is crashed.
     pub fn controller(&self) -> Arc<Controller> {
-        match &self.sharded {
-            Some(sc) => sc.shard(0),
-            None => self.controller.read().clone(),
-        }
+        self.control.shard(0)
     }
 
-    /// The control-plane router, when this cluster was built with
-    /// [`Self::build_with_shards`] and more than one shard.
-    pub fn sharded_controller(&self) -> Option<&Arc<ShardedController>> {
-        self.sharded.as_ref()
+    /// The control-plane router every control request passes through.
+    pub fn sharded_controller(&self) -> &Arc<ShardedController> {
+        &self.control
     }
 
-    /// Number of controller shards (1 for an unsharded cluster).
+    /// Number of controller shards (at least 1).
     pub fn controller_shards(&self) -> usize {
-        self.sharded.as_ref().map_or(1, |sc| sc.num_shards())
-    }
-
-    /// Routes a control request the way client traffic is routed: via
-    /// the shard router when sharded, directly otherwise.
-    fn dispatch_control(&self, req: ControlRequest) -> Result<ControlResponse> {
-        match &self.sharded {
-            Some(sc) => sc.dispatch(req),
-            None => self.controller().dispatch(req),
-        }
+        self.control.num_shards()
     }
 
     /// The controller's transport address.
@@ -482,7 +453,10 @@ impl JiffyCluster {
     /// Unknown server, or a migration failure (e.g. no capacity left on
     /// the remaining servers).
     pub fn drain_server(&self, server: ServerId) -> Result<u32> {
-        match self.dispatch_control(ControlRequest::LeaveServer { server })? {
+        match self
+            .control
+            .dispatch(ControlRequest::LeaveServer { server })?
+        {
             ControlResponse::Drained {
                 blocks_migrated, ..
             } => {
@@ -505,49 +479,41 @@ impl JiffyCluster {
     /// Unknown server.
     pub fn kill_server(&self, server: ServerId) -> Result<()> {
         self.inner.remove_server(server);
-        match &self.sharded {
-            // The failure is owned by the shard the server registered
-            // with — same routing the router uses for its heartbeats.
-            Some(sc) => {
-                let idx = sc.shard_map().shard_of_server(server) as usize;
-                sc.shard(idx).handle_server_failure(server)
-            }
-            None => self.controller().handle_server_failure(server),
-        }
+        // The failure is owned by the shard the server registered with —
+        // same routing the router uses for its heartbeats.
+        let idx = self.control.shard_map().shard_of_server(server) as usize;
+        self.control.shard(idx).handle_server_failure(server)
     }
 
-    /// Installs the autoscaler (policy + cluster-backed provider) and
-    /// starts the elasticity worker: every `cfg.elasticity_interval` it
-    /// sweeps the failure detector and takes one scaling decision.
+    /// Installs the autoscaler (policy + cluster-backed provider, on
+    /// shard 0) and starts every shard's elasticity worker: every
+    /// `cfg.elasticity_interval` it sweeps the failure detector over the
+    /// servers that shard owns, and shard 0's takes one scaling decision.
     pub fn start_elasticity(&mut self, policy: AutoscalerPolicy) {
-        let provider = Arc::new(ClusterProvider {
-            inner: self.inner.clone(),
-        });
-        let controller = self.controller();
-        controller.set_autoscaler(policy, provider);
-        *self.autoscaler_policy.lock() = Some(policy);
-        *self.elastic.lock() = Some(controller.start_elasticity_worker());
+        self.set_elasticity(Some(policy));
     }
 
-    /// Stops the elasticity worker (the autoscaler hooks stay installed;
+    /// Stops the elasticity workers (the autoscaler hooks stay installed;
     /// `Controller::run_autoscaler_once` still works manually).
     pub fn stop_elasticity(&mut self) {
-        *self.elastic.lock() = None;
-        *self.autoscaler_policy.lock() = None;
+        self.set_elasticity(None);
     }
 
-    /// Crashes the controller: its transport endpoint vanishes (in-flight
-    /// and subsequent requests fail with transport errors until a
-    /// restart), its background workers stop, and its in-memory state is
-    /// abandoned — exactly what a process crash loses. The metadata
-    /// journal in the persistent tier is untouched; pair with
-    /// [`JiffyCluster::restart_controller`].
-    pub fn crash_controller(&self) {
-        // Stop the workers first so nothing dispatches mid-teardown.
-        for slot in self.expiry.lock().iter_mut() {
-            *slot = None;
+    fn set_elasticity(&self, policy: Option<AutoscalerPolicy>) {
+        *self.autoscaler_policy.lock() = policy;
+        for idx in 0..self.controller_shards() {
+            self.arm_shard(idx);
         }
-        *self.elastic.lock() = None;
+    }
+
+    /// Crashes the whole control plane: its transport endpoint vanishes
+    /// (in-flight and subsequent requests fail with transport errors
+    /// until a restart), then every shard crashes as in
+    /// [`Self::crash_controller_shard`], and the router forgets its soft
+    /// state (learned roots, join cursor) — exactly what a process crash
+    /// loses. The metadata journals in the persistent tier are
+    /// untouched; pair with [`Self::restart_controller`].
+    pub fn crash_controller(&self) {
         if self.inner.tcp {
             // Dropping the handle closes the listener; session threads
             // die as clients evict their broken connections. Take it
@@ -562,140 +528,76 @@ impl JiffyCluster {
                 .hub()
                 .deregister(&self.inner.controller_addr);
         }
-        // A dead process finishes nothing: fence the unplugged instance
-        // so a request it had already accepted cannot commit behind the
-        // back of its successor.
-        if self.sharded.is_none() {
-            self.controller.read().halt();
+        for idx in 0..self.controller_shards() {
+            self.crash_controller_shard(idx);
         }
+        self.control.forget_soft_state();
     }
 
-    /// Restarts the controller at the same address, recovering all
-    /// metadata (jobs, hierarchies, leases, freelist, placement) from
-    /// the journal + snapshots the crashed instance wrote. Leases are
-    /// re-armed and the failure detector is re-seeded at the restart
-    /// instant; servers keep heartbeating into the new instance and
-    /// clients retry through the restart window transparently.
+    /// Restarts the whole control plane at the same address: every shard
+    /// recovers as in [`Self::restart_controller_shard`], then the
+    /// endpoint comes back behind a fresh replay cache — the old one
+    /// died with the process, so exactly-once across the crash leans on
+    /// idempotent handlers (DESIGN.md §11). Servers keep heartbeating
+    /// into the new instances and clients retry through the restart
+    /// window transparently.
     ///
     /// # Errors
     ///
     /// Journal decode/replay failures, or (TCP mode) failure to re-bind
     /// the controller's port.
     pub fn restart_controller(&self) -> Result<()> {
-        if self.sharded.is_some() {
-            return Err(JiffyError::Internal(
-                "sharded control plane: restart shards individually via restart_controller_shard"
-                    .into(),
-            ));
+        for idx in 0..self.controller_shards() {
+            self.restart_controller_shard(idx)?;
         }
-        let controller = Controller::recover(
-            self.inner.cfg.clone(),
-            self.clock.clone(),
-            Arc::new(RpcDataPlane::new(self.inner.fabric.clone())),
-            self.persistent.clone(),
+        let inner = &self.inner;
+        let (_, handle) = serve_control(
+            &inner.fabric,
+            &self.control,
+            inner.tcp,
+            Some(&inner.controller_addr),
         )?;
-        // Same replay-cache wrapping as the original registration —
-        // though the cache itself restarts empty, so exactly-once across
-        // the crash leans on idempotent handlers (DESIGN.md §11).
-        let controller_svc = Deduplicated::shared(controller.clone());
-        if self.inner.tcp {
-            let hostport = self
-                .inner
-                .controller_addr
-                .strip_prefix("tcp:")
-                .unwrap_or(&self.inner.controller_addr)
-                .to_string();
-            // The old listener's sockets may linger briefly; retry the
-            // bind for a bounded window.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            let handle = loop {
-                match serve_tcp(&hostport, controller_svc.clone()) {
-                    Ok(h) => break h,
-                    Err(e) => {
-                        if std::time::Instant::now() >= deadline {
-                            return Err(e);
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                    }
-                }
-            };
-            // Swap under the lock, drop any stale handle after: its
-            // Drop joins reactor threads (see crash_controller).
-            let old = (*self.controller_tcp.lock()).replace(handle);
-            drop(old);
-        } else {
-            self.inner
-                .fabric
-                .hub()
-                .register_at(&self.inner.controller_addr, controller_svc)?;
-        }
-        if let Some(policy) = *self.autoscaler_policy.lock() {
-            let provider = Arc::new(ClusterProvider {
-                inner: self.inner.clone(),
-            });
-            controller.set_autoscaler(policy, provider);
-            *self.elastic.lock() = Some(controller.start_elasticity_worker());
-        }
-        if self.run_expiry {
-            if let Some(slot) = self.expiry.lock().first_mut() {
-                *slot = Some(controller.start_expiry_worker());
-            }
-        }
-        *self.controller.write() = controller;
+        // Swap under the lock, drop any stale handle after: its Drop
+        // joins reactor threads (see crash_controller).
+        let old = std::mem::replace(&mut *self.controller_tcp.lock(), handle);
+        drop(old);
         Ok(())
     }
 
-    /// Crashes one controller shard: its in-memory state is abandoned
-    /// (journal and snapshots in the persistent tier survive) and its
-    /// expiry worker stops. Requests routed to it fail with a retryable
+    /// Crashes one controller shard: its background workers stop, its
+    /// in-memory state is abandoned (journal and snapshots in the
+    /// persistent tier survive) and the instance is fenced, so a request
+    /// it had already accepted cannot commit behind the back of its
+    /// successor. Requests routed to it fail with a retryable
     /// `Unavailable` until [`Self::restart_controller_shard`]; the other
     /// shards — and clients' cached metadata for every shard — keep
-    /// serving. On an unsharded cluster this falls back to
-    /// [`Self::crash_controller`].
+    /// serving.
     pub fn crash_controller_shard(&self, idx: usize) {
-        match &self.sharded {
-            Some(sc) => {
-                if let Some(slot) = self.expiry.lock().get_mut(idx) {
-                    *slot = None;
-                }
-                sc.crash_shard(idx);
-            }
-            None => self.crash_controller(),
-        }
+        // Stop the workers first so nothing dispatches mid-teardown.
+        let old = std::mem::take(&mut self.workers.lock()[idx]);
+        drop(old);
+        self.control.crash_shard(idx);
     }
 
-    /// Recovers shard `idx` from its own `jiffy-meta/shard-{idx}/`
-    /// journal stream and brings its routing slot back up (bumping the
-    /// shared view epoch, so clients drop cached metadata that might
-    /// predate the crash). On an unsharded cluster this falls back to
-    /// [`Self::restart_controller`].
+    /// Recovers shard `idx` — jobs, hierarchies, leases, freelist,
+    /// placement — from its own journal stream, brings its routing slot
+    /// back up (bumping the shared view epoch, so clients drop cached
+    /// metadata that might predate the crash) and re-arms its workers.
+    /// Leases are re-armed and the failure detector is re-seeded at the
+    /// restart instant.
     ///
     /// # Errors
     ///
     /// Journal decode/replay failures.
     pub fn restart_controller_shard(&self, idx: usize) -> Result<()> {
-        match &self.sharded {
-            Some(sc) => {
-                let shard = sc.restart_shard(idx)?;
-                if self.run_expiry {
-                    if let Some(slot) = self.expiry.lock().get_mut(idx) {
-                        *slot = Some(shard.start_expiry_worker());
-                    }
-                }
-                Ok(())
-            }
-            None => self.restart_controller(),
-        }
+        self.control.restart_shard(idx)?;
+        self.arm_shard(idx);
+        Ok(())
     }
 
-    /// Whether controller shard `idx` is currently up (always true for
-    /// an unsharded cluster's only controller unless it was crashed via
-    /// [`Self::crash_controller`]).
+    /// Whether controller shard `idx` is currently up.
     pub fn controller_shard_is_up(&self, idx: usize) -> bool {
-        match &self.sharded {
-            Some(sc) => sc.shard_is_up(idx),
-            None => self.controller_tcp.lock().is_some() || !self.inner.tcp,
-        }
+        self.control.shard_is_up(idx)
     }
 }
 
@@ -884,10 +786,24 @@ mod tests {
         }
     }
 
+    /// Four in-process servers of eight blocks behind `shards` shards.
+    fn sharded(shards: usize) -> JiffyCluster {
+        JiffyCluster::build_with_shards(
+            JiffyConfig::for_testing(),
+            4,
+            8,
+            SystemClock::shared(),
+            Arc::new(MemObjectStore::new()),
+            true,
+            false,
+            shards,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn sharded_cluster_serves_traffic_across_shards() {
-        let cluster =
-            JiffyCluster::in_process_sharded(JiffyConfig::for_testing(), 4, 8, 4).unwrap();
+        let cluster = sharded(4);
         assert_eq!(cluster.controller_shards(), 4);
         let job = cluster.client().unwrap().register_job("t").unwrap();
         // Enough distinct roots to land on several shards; every one
@@ -902,7 +818,7 @@ mod tests {
         for (i, kv) in kvs.iter().enumerate() {
             assert_eq!(kv.get(b"k").unwrap(), Some(format!("v{i}").into_bytes()));
         }
-        let sc = cluster.sharded_controller().expect("sharded cluster");
+        let sc = cluster.sharded_controller();
         let spread: Vec<usize> = (0..4)
             .map(|i| sc.shard(i).stats().servers as usize)
             .collect();
@@ -911,10 +827,9 @@ mod tests {
 
     #[test]
     fn shard_crash_and_restart_recovers_its_slice() {
-        let cluster =
-            JiffyCluster::in_process_sharded(JiffyConfig::for_testing(), 4, 8, 2).unwrap();
+        let cluster = sharded(2);
         let job = cluster.client().unwrap().register_job("t").unwrap();
-        let sc = cluster.sharded_controller().unwrap().clone();
+        let sc = cluster.sharded_controller().clone();
         // One prefix per shard.
         let mut names = (0..16).map(|i| format!("p{i}"));
         let a = names.next().unwrap();

@@ -36,16 +36,15 @@ pub enum ElasticAction {
     JoinServer,
     /// Gracefully drain and deregister a server (live migration).
     DrainServer,
-    /// Crash the controller and immediately restart it from its
-    /// metadata journal. Client control-plane retries carry requests
-    /// through the restart window; acked writes must survive.
+    /// Crash the whole control plane — endpoint and every shard — and
+    /// immediately restart it from its metadata journals. Client
+    /// control-plane retries carry requests through the restart window;
+    /// acked writes must survive.
     CrashController,
-    /// Crash controller shard `i` of a sharded control plane
-    /// ([`HarnessConfig::shards`] > 1) and immediately recover it from
-    /// its own `jiffy-meta/shard-{i}/` journal stream. The other shards
-    /// keep serving throughout; requests routed to the dark shard ride
-    /// client retries into the recovered instance. On an unsharded run
-    /// this degrades to [`ElasticAction::CrashController`].
+    /// Crash controller shard `i` (modulo [`HarnessConfig::shards`]) and
+    /// immediately recover it from its own journal stream. The endpoint
+    /// and the other shards keep serving throughout; requests routed to
+    /// the dark shard ride client retries into the recovered instance.
     CrashControllerShard(usize),
 }
 
@@ -97,10 +96,8 @@ pub struct HarnessConfig {
     /// Per-tenant limit overrides installed before the workload starts
     /// (`tenant_index` counts from 0, matching `w % tenants`).
     pub tenant_limits: Vec<TenantQos>,
-    /// Controller shards. `1` (the default) boots the classic unsharded
-    /// control plane; larger values partition the namespace across that
-    /// many in-process shards behind one routing endpoint, enabling
-    /// [`ElasticAction::CrashControllerShard`] schedules.
+    /// Controller shards (default `1`): the namespace is partitioned
+    /// across that many in-process shards behind one routing endpoint.
     pub shards: usize,
 }
 
@@ -210,7 +207,7 @@ pub fn run(cfg: &HarnessConfig) -> Result<RunReport> {
         Arc::new(MemObjectStore::new()),
         false,
         false,
-        cfg.shards.max(1),
+        cfg.shards,
     )?);
     let injector = Arc::new(FaultInjector::new(cfg.seed));
     injector.set_default_rule(cfg.rule.clone());
@@ -472,7 +469,7 @@ fn apply_elastic(cluster: &JiffyCluster, action: ElasticAction, blocks_per_serve
             let _ = cluster.restart_controller();
         }
         ElasticAction::CrashControllerShard(i) => {
-            let i = i % cluster.controller_shards().max(1);
+            let i = i % cluster.controller_shards();
             cluster.crash_controller_shard(i);
             // Same reasoning as CrashController: an unrecoverable shard
             // shows up as persistent routing failures in the history.

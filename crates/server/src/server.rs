@@ -892,7 +892,7 @@ impl Service for MemoryServer {
 mod tests {
     use super::*;
     use jiffy_common::clock::SystemClock;
-    use jiffy_controller::{Controller, RpcDataPlane};
+    use jiffy_controller::{RpcDataPlane, ShardedController};
     use jiffy_persistent::MemObjectStore;
     use jiffy_proto::DsType;
 
@@ -901,14 +901,15 @@ mod tests {
     fn cluster(n: usize, blocks_each: u32) -> (Fabric, String, Vec<Arc<MemoryServer>>) {
         let fabric = Fabric::new();
         let cfg = JiffyConfig::for_testing();
-        let controller = Controller::new(
+        let controller = ShardedController::build(
             cfg.clone(),
             SystemClock::shared(),
             Arc::new(RpcDataPlane::new(fabric.clone())),
             Arc::new(MemObjectStore::new()),
+            1,
         )
         .unwrap();
-        let controller_addr = fabric.hub().register(controller);
+        let controller_addr = fabric.hub().register(Arc::new(controller));
         let mut servers = Vec::new();
         for _ in 0..n {
             let server = MemoryServer::new(cfg.clone(), fabric.clone(), controller_addr.clone());

@@ -14,7 +14,7 @@
 use jiffy_block::Partition;
 use jiffy_common::clock::SystemClock;
 use jiffy_common::{BlockId, JiffyConfig, JiffyError, QosConfig, Result, ServerId, TenantId};
-use jiffy_controller::{Controller, RpcDataPlane};
+use jiffy_controller::{RpcDataPlane, ShardedController};
 use jiffy_persistent::MemObjectStore;
 use jiffy_proto::{
     Blob, DataRequest, DataResponse, DsOp, DsResult, DsType, Envelope, Replica, SplitSpec,
@@ -79,14 +79,15 @@ struct Rig {
 
 fn rig(cfg: JiffyConfig) -> Rig {
     let fabric = Fabric::new();
-    let controller = Controller::new(
+    let controller = ShardedController::build(
         cfg.clone(),
         SystemClock::shared(),
         Arc::new(RpcDataPlane::new(fabric.clone())),
         Arc::new(MemObjectStore::new()),
+        1,
     )
     .unwrap();
-    let controller_addr = fabric.hub().register(controller);
+    let controller_addr = fabric.hub().register(Arc::new(controller));
     let boot = || {
         let server = MemoryServer::new(cfg.clone(), fabric.clone(), controller_addr.clone());
         server.register_custom_ds(

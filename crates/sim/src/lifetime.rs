@@ -123,7 +123,7 @@ enum Op {
 /// Cluster failures.
 pub fn run(cfg: &LifetimeConfig) -> jiffy::Result<LifetimeOutcome> {
     let (clock, shared) = ManualClock::shared();
-    let cluster = JiffyCluster::build(
+    let cluster = JiffyCluster::build_with_shards(
         cfg.jiffy.clone(),
         2,
         cfg.blocks / 2,
@@ -131,6 +131,7 @@ pub fn run(cfg: &LifetimeConfig) -> jiffy::Result<LifetimeOutcome> {
         Arc::new(MemObjectStore::new()),
         false,
         false,
+        1,
     )?;
     let job = cluster.client()?.register_job("lifetime")?;
     let schedule = build_schedule(cfg);

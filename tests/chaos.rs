@@ -136,7 +136,7 @@ fn partitioned_server_causes_lease_reclaim_not_hang() {
     // blocks through its *own* (healthy) fabric.
     let (clock, shared) = ManualClock::shared();
     let store = Arc::new(MemObjectStore::new());
-    let cluster = JiffyCluster::build(
+    let cluster = JiffyCluster::build_with_shards(
         JiffyConfig::for_testing(),
         2,
         8,
@@ -144,6 +144,7 @@ fn partitioned_server_causes_lease_reclaim_not_hang() {
         store,
         false,
         false,
+        1,
     )
     .unwrap();
 
@@ -336,11 +337,45 @@ fn controller_shard_crashes_mid_workload_lose_no_acked_writes() {
 }
 
 #[test]
+fn whole_plane_crashes_on_a_sharded_cluster_lose_no_acked_writes() {
+    // Both crash scopes on one 2-shard run: the whole plane (endpoint
+    // down, every shard recovered, router soft state re-derived) and a
+    // single shard in between. Same bar as above: zero acked-write loss,
+    // no exactly-once violation.
+    lower_call_timeout();
+    let cfg = HarnessConfig {
+        seed: 0x5A4D_0002,
+        ops_per_worker: 150,
+        rule: light_chaos(),
+        mix: WorkloadMix::all(),
+        num_servers: 2,
+        shards: 2,
+        elastic: vec![
+            (30, ElasticAction::CrashController),
+            (70, ElasticAction::CrashControllerShard(1)),
+            (110, ElasticAction::CrashController),
+        ],
+        ..HarnessConfig::default()
+    };
+    run(&cfg).unwrap().assert_ok();
+}
+
+#[test]
 fn dark_controller_shard_serves_cache_hits_and_retried_misses() {
     // One shard goes dark. Cached metadata for its slice keeps serving
     // (resolves are cache hits, data ops flow), and a forced cache miss
     // rides the client's transport retries into the recovered shard.
-    let cluster = JiffyCluster::in_process_sharded(JiffyConfig::for_testing(), 4, 8, 2).unwrap();
+    let cluster = JiffyCluster::build_with_shards(
+        JiffyConfig::for_testing(),
+        4,
+        8,
+        jiffy_common::clock::SystemClock::shared(),
+        Arc::new(MemObjectStore::new()),
+        true,
+        false,
+        2,
+    )
+    .unwrap();
     let client = cluster
         .client()
         .unwrap()
@@ -351,7 +386,7 @@ fn dark_controller_shard_serves_cache_hits_and_retried_misses() {
             multiplier: 2.0,
         });
     let job = client.register_job("shard-dark").unwrap();
-    let sc = cluster.sharded_controller().unwrap().clone();
+    let sc = cluster.sharded_controller().clone();
     // Two prefixes on different shards.
     let mut names = (0..16).map(|i| format!("p{i}"));
     let a = names.next().unwrap();
@@ -408,7 +443,7 @@ fn unreplicated_loss_is_clean_unavailable_not_a_hang() {
     // Killing the only home of unreplicated, unflushed data loses it by
     // design. The contract is a *fast, clean* `Unavailable` — the client
     // must not spin on routing retries when the layout hasn't changed.
-    let cluster = JiffyCluster::build(
+    let cluster = JiffyCluster::build_with_shards(
         JiffyConfig::for_testing(),
         2,
         8,
@@ -416,6 +451,7 @@ fn unreplicated_loss_is_clean_unavailable_not_a_hang() {
         Arc::new(MemObjectStore::new()),
         false,
         false,
+        1,
     )
     .unwrap();
     let client = JiffyClient::connect(cluster.fabric().clone(), cluster.controller_addr()).unwrap();

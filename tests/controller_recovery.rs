@@ -558,7 +558,7 @@ fn a_crash_between_merge_and_its_journal_record_loses_no_acked_write() {
         inner: MemObjectStore::new(),
         dead: AtomicBool::new(false),
     });
-    let cluster = JiffyCluster::build(
+    let cluster = JiffyCluster::build_with_shards(
         cfg,
         2,
         16,
@@ -566,6 +566,7 @@ fn a_crash_between_merge_and_its_journal_record_loses_no_acked_write() {
         store.clone(),
         false,
         false,
+        1,
     )
     .expect("cluster");
     let job = cluster
@@ -648,4 +649,97 @@ fn chaos_with_controller_crash_and_membership_churn() {
         ..HarnessConfig::default()
     };
     run(&cfg).expect("harness run").assert_ok();
+}
+
+// ---------------------------------------------------------------------
+// One wiring: N >= 1 shards behind one endpoint
+// ---------------------------------------------------------------------
+
+fn sharded_cluster(store: Arc<dyn ObjectStore>, shards: usize) -> JiffyCluster {
+    JiffyCluster::build_with_shards(
+        long_lease_cfg(),
+        2,
+        16,
+        jiffy_common::clock::SystemClock::shared(),
+        store,
+        true,
+        false,
+        shards,
+    )
+    .expect("cluster")
+}
+
+/// Crashing and restarting the whole control plane is one procedure
+/// applied to every shard, so it works for any shard count — and the
+/// recovered plane takes new jobs.
+#[test]
+fn whole_plane_crash_and_restart_works_for_any_shard_count() {
+    for shards in [1, 2] {
+        let cluster = sharded_cluster(Arc::new(MemObjectStore::new()), shards);
+        exercise_crash_restart(&cluster);
+        cluster
+            .client()
+            .expect("client")
+            .register_job("after")
+            .unwrap_or_else(|e| panic!("{shards} shards: register_job after restart: {e:?}"));
+    }
+}
+
+/// The persisted layout is the one format the single wiring must not
+/// move: one shard journals under plain `jiffy-meta/`, N > 1 under
+/// `jiffy-meta/shard-{i}/` each — and a one-shard store recovers through
+/// the same `restart_controller()` every other shard count uses.
+#[test]
+fn metadata_keys_stay_where_each_shard_count_always_wrote_them() {
+    for shards in [1usize, 2] {
+        let store = Arc::new(MemObjectStore::new());
+        let cluster = sharded_cluster(store.clone(), shards);
+        let job = cluster
+            .client()
+            .expect("client")
+            .register_job("layout")
+            .expect("job");
+        for i in 0..4 {
+            let kv = job.open_kv(&format!("kv{i}"), &[], 1).expect("kv");
+            kv.put(b"k", b"v").expect("put");
+        }
+        // Every metadata key sits under its shard's prefix, and every
+        // shard wrote a `dir` ("journal/", then "snapshot/") of its own.
+        let check = |dir: &str| {
+            let keys = store.list("jiffy-meta/");
+            let prefixes: Vec<String> = match shards {
+                1 => vec!["jiffy-meta/".into()],
+                n => (0..n).map(|i| format!("jiffy-meta/shard-{i}/")).collect(),
+            };
+            for key in &keys {
+                let rest = prefixes.iter().find_map(|p| key.strip_prefix(p.as_str()));
+                assert!(
+                    rest.is_some_and(|r| r.starts_with("journal/") || r.starts_with("snapshot/")),
+                    "{shards} shards: metadata key {key} outside {prefixes:?}"
+                );
+            }
+            for prefix in &prefixes {
+                assert!(
+                    keys.iter()
+                        .any(|k| k.starts_with(&format!("{prefix}{dir}"))),
+                    "{shards} shards: nothing under {prefix}{dir} in {keys:?}"
+                );
+            }
+        };
+        check("journal/");
+        for i in 0..shards {
+            let shard = cluster.sharded_controller().shard(i);
+            shard.snapshot_now().expect("snapshot");
+        }
+        job.create_addr_prefix("after-snapshot", &[])
+            .expect("prefix");
+        check("snapshot/");
+
+        cluster.crash_controller();
+        cluster.restart_controller().expect("restart");
+        let kv = job.open_kv("kv0", &[], 1).expect("reopen");
+        assert_eq!(kv.get(b"k").expect("get"), Some(b"v".to_vec()));
+        job.resolve("after-snapshot")
+            .expect("journal tail replayed");
+    }
 }

@@ -7,7 +7,7 @@ use jiffy_sync::Arc;
 
 use jiffy_block::Partition;
 use jiffy_common::{JiffyConfig, JiffyError, Result};
-use jiffy_controller::{Controller, RpcDataPlane};
+use jiffy_controller::{RpcDataPlane, ShardedController};
 use jiffy_persistent::MemObjectStore;
 use jiffy_proto::{
     Blob, ControlRequest, ControlResponse, DataRequest, DataResponse, DsOp, DsResult, DsType,
@@ -99,14 +99,15 @@ fn data(fabric: &Fabric, addr: &str, req: DataRequest) -> Result<DataResponse> {
 fn custom_counter_structure_runs_on_a_memory_server() {
     let fabric = Fabric::new();
     let cfg = JiffyConfig::for_testing();
-    let controller = Controller::new(
+    let controller = ShardedController::build(
         cfg.clone(),
         jiffy_common::clock::SystemClock::shared(),
         Arc::new(RpcDataPlane::new(fabric.clone())),
         Arc::new(MemObjectStore::new()),
+        1,
     )
     .unwrap();
-    let controller_addr = fabric.hub().register(controller);
+    let controller_addr = fabric.hub().register(Arc::new(controller));
 
     // Register the custom factory before the server starts serving.
     let server = MemoryServer::new(cfg.clone(), fabric.clone(), controller_addr.clone());
@@ -252,14 +253,15 @@ fn custom_counter_structure_runs_on_a_memory_server() {
 fn unknown_custom_structure_is_rejected() {
     let fabric = Fabric::new();
     let cfg = JiffyConfig::for_testing();
-    let controller = Controller::new(
+    let controller = ShardedController::build(
         cfg.clone(),
         jiffy_common::clock::SystemClock::shared(),
         Arc::new(RpcDataPlane::new(fabric.clone())),
         Arc::new(MemObjectStore::new()),
+        1,
     )
     .unwrap();
-    let controller_addr = fabric.hub().register(controller);
+    let controller_addr = fabric.hub().register(Arc::new(controller));
     let server = MemoryServer::new(cfg, fabric.clone(), controller_addr);
     let addr = fabric.hub().register(server.clone());
     server.register(&addr, 1).unwrap();

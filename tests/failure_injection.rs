@@ -16,7 +16,7 @@ fn task_death_orphans_no_state() {
     // blocks return to the pool for other jobs.
     let (clock, shared) = ManualClock::shared();
     let store = Arc::new(MemObjectStore::new());
-    let cluster = JiffyCluster::build(
+    let cluster = JiffyCluster::build_with_shards(
         JiffyConfig::for_testing().with_block_size(16 * 1024),
         1,
         8,
@@ -24,6 +24,7 @@ fn task_death_orphans_no_state() {
         store.clone(),
         false,
         false,
+        1,
     )
     .unwrap();
     let client = cluster.client().unwrap();

@@ -13,7 +13,7 @@ use jiffy_persistent::{MemObjectStore, ObjectStore};
 fn manual_cluster() -> (JiffyCluster, Arc<ManualClock>, Arc<MemObjectStore>) {
     let (clock, shared) = ManualClock::shared();
     let store = Arc::new(MemObjectStore::new());
-    let cluster = JiffyCluster::build(
+    let cluster = JiffyCluster::build_with_shards(
         JiffyConfig::for_testing().with_block_size(16 * 1024),
         1,
         16,
@@ -21,6 +21,7 @@ fn manual_cluster() -> (JiffyCluster, Arc<ManualClock>, Arc<MemObjectStore>) {
         store.clone(),
         false, // expiry driven manually
         false,
+        1,
     )
     .unwrap();
     (cluster, clock, store)

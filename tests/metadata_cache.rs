@@ -137,3 +137,55 @@ fn concurrent_misses_coalesce_into_one_resolve_rpc() {
     job.resolve("hot").unwrap();
     assert_eq!(cache.stats().hits(), hits + 1);
 }
+
+/// A crash + restart of the whole control plane must move the view
+/// epoch forward, for any shard count: a client whose cache already saw
+/// epoch E treats every entry stamped below E as stale, so an epoch that
+/// restarted from zero would silently turn the cache off for good.
+#[test]
+fn whole_plane_restart_moves_the_epoch_forward_and_the_cache_still_hits() {
+    for shards in [1, 2] {
+        let cluster = JiffyCluster::build_with_shards(
+            JiffyConfig::for_testing().with_lease_duration(std::time::Duration::from_secs(120)),
+            2,
+            8,
+            jiffy_common::clock::SystemClock::shared(),
+            Arc::new(jiffy_persistent::MemObjectStore::new()),
+            true,
+            false,
+            shards,
+        )
+        .unwrap();
+        let client = cluster.client().unwrap();
+        let job = client.register_job("restart").unwrap();
+        job.create_addr_prefix("keep", &[]).unwrap();
+        for i in 0..4 {
+            let doomed = format!("doomed{i}");
+            job.create_addr_prefix(&doomed, &[]).unwrap();
+            job.remove_addr_prefix(&doomed).unwrap();
+        }
+        let before = cluster.sharded_controller().view_epoch();
+        assert!(
+            before >= 4,
+            "{shards} shards: every removal bumps the epoch"
+        );
+        let cache = client.metadata_cache();
+        assert_eq!(cache.current_epoch(), before);
+
+        cluster.crash_controller();
+        cluster.restart_controller().unwrap();
+        assert!(
+            cluster.sharded_controller().view_epoch() > before,
+            "{shards} shards: the epoch regressed across the restart"
+        );
+
+        job.resolve("keep").unwrap(); // refill under the new epoch
+        let (hits, resolves) = (cache.stats().hits(), cache.stats().resolves());
+        job.resolve("keep").unwrap();
+        assert_eq!(
+            (cache.stats().hits(), cache.stats().resolves()),
+            (hits + 1, resolves),
+            "{shards} shards: the second resolve after a restart must be a cache hit"
+        );
+    }
+}

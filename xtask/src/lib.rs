@@ -59,6 +59,7 @@ use std::path::{Path, PathBuf};
 
 pub mod analysis;
 pub mod lex;
+pub mod loc;
 pub mod parse;
 
 pub use analysis::analyze;

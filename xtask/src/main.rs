@@ -12,6 +12,10 @@
 //!                 static acquisition graph against a
 //!                 JIFFY_LOCK_ORDER_DUMP capture from the debug test
 //!                 suite. Exits 1 if any rule fires.
+//!   loc BASE-REF  per crate, lines added / removed since BASE-REF, split
+//!                 into non-test code and test code (`tests/` trees and
+//!                 `#[cfg(test)]` regions) — the LOC delta CHANGES.md
+//!                 reports.
 //!   bench-smoke   run every criterion bench in quick mode
 //!                 (JIFFY_BENCH_QUICK=1: fixed low sample count) plus the
 //!                 dataplane throughput and noisy neighbor bins — a
@@ -101,9 +105,18 @@ fn main() -> ExitCode {
             }
             report(&cmd, phase, &violations, &opts)
         }
+        "loc" => match args.next() {
+            Some(base) => loc(&base),
+            None => {
+                eprintln!("xtask loc: expected a base ref (e.g. `cargo xtask loc HEAD~1`)");
+                ExitCode::FAILURE
+            }
+        },
         "bench-smoke" => bench_smoke(),
         other => {
-            eprintln!("unknown xtask command `{other}` (expected: lint, analyze, bench-smoke)");
+            eprintln!(
+                "unknown xtask command `{other}` (expected: lint, analyze, loc, bench-smoke)"
+            );
             ExitCode::FAILURE
         }
     }
@@ -166,6 +179,41 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// Prints the per-crate LOC delta of the working tree against `base`.
+fn loc(base: &str) -> ExitCode {
+    let root = default_root();
+    let git = |args: &[&str]| -> Option<String> {
+        let out = Command::new("git")
+            .arg("-C")
+            .arg(&root)
+            .args(args)
+            .output()
+            .ok()?;
+        out.status
+            .success()
+            .then(|| String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    let Some(diff) = git(&[
+        "diff",
+        "-U0",
+        "--no-renames",
+        "--no-color",
+        base,
+        "--",
+        "*.rs",
+    ]) else {
+        eprintln!("xtask loc: `git diff {base}` failed");
+        return ExitCode::FAILURE;
+    };
+    let tally = xtask::loc::tally(
+        &diff,
+        |path| git(&["show", &format!("{base}:{path}")]).unwrap_or_default(),
+        |path| std::fs::read_to_string(root.join(path)).unwrap_or_default(),
+    );
+    print!("{}", xtask::loc::render(&tally));
+    ExitCode::SUCCESS
 }
 
 /// Runs the criterion suite and the dataplane throughput bin in quick
