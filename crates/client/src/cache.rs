@@ -109,8 +109,8 @@ impl MetadataCache {
     }
 
     /// Folds an epoch piggybacked on a control response into the cache.
-    /// Monotonic: replayed (deduplicated) responses carrying an older
-    /// epoch never roll freshness back.
+    /// Monotonic: late or duplicated responses carrying an older epoch
+    /// never roll freshness back.
     pub fn observe_epoch(&self, epoch: u64) {
         self.epoch.fetch_max(epoch, Ordering::SeqCst);
     }

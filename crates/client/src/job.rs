@@ -93,9 +93,9 @@ impl JiffyClient {
     ///
     /// The request is stamped with a process-unique id and transport
     /// faults (timeout / unavailable / broken connection) are retried
-    /// with exponential backoff, reusing the id so the controller's
-    /// replay cache suppresses re-execution. Controller-side errors are
-    /// returned as-is.
+    /// with exponential backoff, reusing the id so the controller shard's
+    /// replay window suppresses re-execution, on any connection and
+    /// across a restart. Controller-side errors are returned as-is.
     ///
     /// # Errors
     ///
@@ -116,8 +116,8 @@ impl JiffyClient {
     pub fn control_with_epoch(&self, req: ControlRequest) -> Result<(ControlResponse, u64)> {
         // A `Throttled` answer means the controller deferred the request
         // before executing it (fair-share arbitration under memory
-        // pressure) and throttled responses bypass the replay cache, so
-        // backoff retries reuse the same id safely.
+        // pressure); error answers are never recorded in the replay
+        // window, so backoff retries reuse the same id safely.
         let id = next_request_id();
         with_throttle_backoff(|| {
             self.retry.run(
@@ -129,8 +129,8 @@ impl JiffyClient {
                         tenant: self.tenant,
                     })? {
                         Envelope::ControlResp { resp, epoch, .. } => {
-                            // Replayed (deduplicated) responses may carry
-                            // an older epoch; observe_epoch is monotonic.
+                            // observe_epoch is monotonic, so a late or
+                            // duplicated reply cannot move it backwards.
                             self.cache.observe_epoch(epoch);
                             resp.map(|r| (r, epoch))
                         }
@@ -145,8 +145,8 @@ impl JiffyClient {
                     // leaves the pooled connection pointing at a dead
                     // endpoint, and only a fresh dial reaches the recovered
                     // controller. The request id is reused across attempts, so
-                    // the replay cache still suppresses duplicate execution
-                    // when the old controller actually processed the call.
+                    // the replay window, keyed by id alone, still suppresses
+                    // duplicate execution when the call already ran.
                     self.fabric.evict(&self.controller_addr);
                 },
             )

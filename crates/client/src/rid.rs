@@ -2,19 +2,18 @@
 //!
 //! Every control and data request carries a non-zero id, and a retry of
 //! one request deliberately reuses it: the server side treats a repeated
-//! id as "same request — replay the recorded result". On the data plane
-//! that record is the target block's replay window, which replicates and
-//! migrates with the block, so ids must stay unique across *all* of a
-//! process's requests, not just per connection; on the control plane it
-//! is the controller's per-session [`jiffy_rpc::Deduplicated`] cache. A
-//! process-wide counter serves both.
+//! id as "same request — replay the recorded result". That record is a
+//! replay window keyed by id alone (the target block's, which migrates
+//! with the block; the controller shard's, which is journaled), so ids
+//! must stay unique across *all* of a process's requests, not just per
+//! connection. A process-wide counter serves both planes.
 //!
 //! The counter starts at [`jiffy_proto::CLIENT_RID_BASE`] so
 //! client-stamped ids can never collide with the per-connection
 //! auto-ids that [`jiffy_rpc::tcp`] assigns to unstamped
 //! ([`jiffy_proto::INTERNAL_RID`]) requests, which count up from 1.
-//! Servers use the same threshold to decide whether an id identifies a
-//! client request whose result belongs in the per-block replay window.
+//! Servers and controller shards use the same threshold to decide
+//! whether an id's result belongs in a replay window.
 
 use jiffy_proto::CLIENT_RID_BASE;
 use jiffy_sync::atomic::{AtomicU64, Ordering};

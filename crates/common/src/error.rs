@@ -82,7 +82,7 @@ pub enum JiffyError {
     Rpc(String),
     /// An RPC did not complete within its deadline. The request may or
     /// may not have executed — callers must retry with the same request
-    /// id so the server's replay cache can deduplicate.
+    /// id so the server's replay window can deduplicate.
     Timeout {
         /// The deadline that elapsed, in milliseconds.
         after_ms: u64,
@@ -231,7 +231,7 @@ impl JiffyError {
     /// Returns `true` for transport-level faults (the request may have
     /// executed even though no response arrived), as opposed to errors
     /// the *server* returned. Transport faults are safe to retry with
-    /// the same request id: the server's replay cache deduplicates.
+    /// the same request id: the server's replay window deduplicates.
     pub fn is_transport(&self) -> bool {
         matches!(
             self,

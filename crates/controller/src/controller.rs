@@ -13,10 +13,10 @@ use jiffy_persistent::ObjectStore;
 use jiffy_proto::{
     Blob, BlockLocation, ControlRequest, ControlResponse, ControllerStats, DagNodeSpec,
     DataRequest, DataResponse, DsType, Envelope, JournalOp, MergeSpec, PrefixView, Replica,
-    SplitSpec, TenantLoad, TenantStatsEntry, INTERNAL_RID,
+    SplitSpec, TenantLoad, TenantStatsEntry, CLIENT_RID_BASE, INTERNAL_RID,
 };
 use jiffy_qos::{weighted_max_min, TenantDirectory};
-use jiffy_rpc::Fabric;
+use jiffy_rpc::{Fabric, ReplayWindow};
 use jiffy_sync::atomic::{AtomicU64, Ordering};
 use jiffy_sync::{Mutex, StopSignal};
 use serde::{Deserialize, Serialize};
@@ -401,6 +401,8 @@ pub(crate) struct CtrlState {
     pub(crate) server_loads: HashMap<ServerId, Vec<TenantLoad>>,
     /// Set by [`Controller::halt`]: this instance is dead to the world.
     pub(crate) halted: bool,
+    /// Answers to client-stamped mutations by request id (journaled).
+    pub(crate) answered: ReplayWindow<Vec<u8>>,
 }
 
 /// Autoscaler wiring: the policy plus the provider that actually
@@ -466,6 +468,11 @@ impl ShardIdentity {
             format!("{}shard-{}/", journal::META_PREFIX, self.index)
         }
     }
+}
+
+/// Whether `rid` is client-stamped, i.e. tracked (the data plane's rule).
+pub(crate) fn is_client_rid(rid: u64) -> bool {
+    rid >= CLIENT_RID_BASE
 }
 
 /// Whether a journaled operation can change block placement as seen by
@@ -559,6 +566,7 @@ impl Controller {
                 tenants,
                 server_loads: HashMap::new(),
                 halted: false,
+                answered: journal::answer_window(),
             }),
             dataplane,
             persistent,
@@ -656,6 +664,7 @@ impl Controller {
                 // Soft state: rebuilt from the next round of heartbeats.
                 server_loads: HashMap::new(),
                 halted: false,
+                answered: rec.answered,
             }),
             dataplane,
             persistent,
@@ -698,13 +707,21 @@ impl Controller {
     /// then snapshots/truncates if the record budget is used up. Called
     /// under the state lock, after the in-memory mutation and before
     /// the ack; an empty batch is a no-op (the operation turned out not
-    /// to mutate anything).
+    /// to mutate anything). A trailing `Answered` enters the replay
+    /// window before any snapshot, which must cover it.
     fn journal_append(&self, st: &mut CtrlState, ops: Vec<JournalOp>) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
         }
         let bumps_epoch = ops.iter().any(invalidates_placement);
+        let answer = match ops.last() {
+            Some(JournalOp::Answered { rid, resp }) => Some((*rid, jiffy_proto::to_bytes(resp)?)),
+            _ => None,
+        };
         st.journal.append(ops)?;
+        if let Some((rid, answer)) = answer {
+            journal::record_answer(&mut st.answered, rid, answer);
+        }
         if bumps_epoch {
             // Placement changed durably: advance the shared view epoch
             // so every shard's next response invalidates client caches.
@@ -715,6 +732,26 @@ impl Controller {
             st.journal.write_snapshot(&mirror)?;
         }
         Ok(())
+    }
+
+    /// Journals a mutation and acks it with `resp`. For a client-stamped
+    /// `rid` the answer rides in the same batch (`Answered`), so a retry
+    /// is answered from the replay window. No-op mutations record nothing.
+    fn commit(
+        &self,
+        st: &mut CtrlState,
+        rid: u64,
+        mut ops: Vec<JournalOp>,
+        resp: ControlResponse,
+    ) -> Result<ControlResponse> {
+        if is_client_rid(rid) && !ops.is_empty() {
+            ops.push(JournalOp::Answered {
+                rid,
+                resp: resp.clone(),
+            });
+        }
+        self.journal_append(st, ops)?;
+        Ok(resp)
     }
 
     /// A `StateRewritten` journal record capturing the full current
@@ -834,19 +871,36 @@ impl Controller {
     /// Handles one control request on behalf of `tenant`. Jobs
     /// registered through this entry point are accounted against the
     /// tenant's memory quota and weighted-fair share (DESIGN.md §14).
+    /// Untracked by the replay window.
     pub fn dispatch_as(&self, req: ControlRequest, tenant: TenantId) -> Result<ControlResponse> {
+        self.dispatch_for(req, tenant, INTERNAL_RID)
+    }
+
+    /// [`Self::dispatch_as`] for request `rid`: a recorded answer is
+    /// replayed, else the request runs (see `commit`). One hold of the
+    /// state lock covers both, so concurrent duplicates run once.
+    pub(crate) fn dispatch_for(
+        &self,
+        req: ControlRequest,
+        tenant: TenantId,
+        rid: u64,
+    ) -> Result<ControlResponse> {
         let mut deferred_resets: Vec<BlockLocation> = Vec::new();
         let resp = {
             let mut st = self.state.lock();
             if st.halted {
                 return Err(JiffyError::shard_unavailable(self.shard.index));
             }
+            // Only client rids are ever recorded, so others always miss.
+            if let Some(answer) = st.answered.lookup(rid) {
+                return jiffy_proto::from_bytes(answer);
+            }
             st.counters.ops_served += 1;
             // Journal appends must run under the state lock so journal
             // order equals mutation order; flush/load object-store
             // copies ride the same serialization.
             // xtask-allow(no-guard-across-rpc): journal order equals mutation order (DESIGN.md §11)
-            self.dispatch_locked(&mut st, req, tenant, &mut deferred_resets)
+            self.dispatch_locked(&mut st, req, tenant, rid, &mut deferred_resets)
         };
         // Best-effort data-plane resets run after the guard drops: they
         // are transport calls, and a slow server must not stall every
@@ -867,6 +921,7 @@ impl Controller {
         st: &mut CtrlState,
         req: ControlRequest,
         tenant: TenantId,
+        rid: u64,
         deferred_resets: &mut Vec<BlockLocation>,
     ) -> Result<ControlResponse> {
         match req {
@@ -880,8 +935,8 @@ impl Controller {
                         tenant,
                     },
                 );
-                self.journal_append(st, vec![JournalOp::JobRegistered { job, name, tenant }])?;
-                Ok(ControlResponse::JobRegistered { job })
+                let ops = vec![JournalOp::JobRegistered { job, name, tenant }];
+                self.commit(st, rid, ops, ControlResponse::JobRegistered { job })
             }
             ControlRequest::DeregisterJob { job } => {
                 let entry = st
@@ -904,9 +959,10 @@ impl Controller {
                 }
                 // Journal before the destructive data-plane resets
                 // (which the caller performs after unlocking).
-                self.journal_append(st, vec![JournalOp::JobDeregistered { job }])?;
+                let ops = vec![JournalOp::JobDeregistered { job }];
+                let resp = self.commit(st, rid, ops, ControlResponse::Ack)?;
                 deferred_resets.extend(locs);
-                Ok(ControlResponse::Ack)
+                Ok(resp)
             }
             ControlRequest::CreatePrefix {
                 job,
@@ -916,8 +972,7 @@ impl Controller {
                 initial_blocks,
             } => {
                 let ops = self.create_prefix(st, job, &name, &parents, ds, initial_blocks)?;
-                self.journal_append(st, ops)?;
-                Ok(ControlResponse::PrefixCreated { name })
+                self.commit(st, rid, ops, ControlResponse::PrefixCreated { name })
             }
             ControlRequest::AddParent { job, name, parent } => {
                 let entry = st
@@ -925,8 +980,8 @@ impl Controller {
                     .get_mut(&job)
                     .ok_or(JiffyError::UnknownJob(job.raw()))?;
                 entry.hierarchy.add_parent(&name, &parent)?;
-                self.journal_append(st, vec![JournalOp::ParentAdded { job, name, parent }])?;
-                Ok(ControlResponse::Ack)
+                let ops = vec![JournalOp::ParentAdded { job, name, parent }];
+                self.commit(st, rid, ops, ControlResponse::Ack)
             }
             ControlRequest::CreateHierarchy { job, nodes } => {
                 let mut ops = Vec::new();
@@ -939,8 +994,7 @@ impl Controller {
                     } = spec;
                     ops.extend(self.create_prefix(st, job, name, parents, *ds, *initial_blocks)?);
                 }
-                self.journal_append(st, ops)?;
-                Ok(ControlResponse::Ack)
+                self.commit(st, rid, ops, ControlResponse::Ack)
             }
             ControlRequest::RemovePrefix { job, name } => {
                 let locs = self.reclaim_prefix(st, job, &name, false, None)?;
@@ -949,9 +1003,10 @@ impl Controller {
                     .get_mut(&job)
                     .ok_or(JiffyError::UnknownJob(job.raw()))?;
                 entry.hierarchy.remove_node(&name)?;
-                self.journal_append(st, vec![JournalOp::PrefixRemoved { job, name }])?;
+                let ops = vec![JournalOp::PrefixRemoved { job, name }];
+                let resp = self.commit(st, rid, ops, ControlResponse::Ack)?;
                 deferred_resets.extend(locs);
-                Ok(ControlResponse::Ack)
+                Ok(resp)
             }
             ControlRequest::ResolvePrefix { job, name } => {
                 let entry = st.jobs.get(&job).ok_or(JiffyError::UnknownJob(job.raw()))?;
@@ -973,18 +1028,16 @@ impl Controller {
                     .get_mut(&job)
                     .ok_or(JiffyError::UnknownJob(job.raw()))?;
                 let renewed = entry.hierarchy.renew(&name, now)?;
-                self.journal_append(
-                    st,
-                    vec![JournalOp::LeaseRenewed {
-                        job,
-                        name,
-                        now_micros: u64::try_from(now.as_micros()).unwrap_or(u64::MAX),
-                    }],
-                )?;
-                Ok(ControlResponse::LeaseRenewed {
+                let ops = vec![JournalOp::LeaseRenewed {
+                    job,
+                    name,
+                    now_micros: u64::try_from(now.as_micros()).unwrap_or(u64::MAX),
+                }];
+                let resp = ControlResponse::LeaseRenewed {
                     renewed,
                     lease_duration_micros: self.cfg.lease_duration.as_micros() as u64,
-                })
+                };
+                self.commit(st, rid, ops, resp)
             }
             ControlRequest::GetLeaseDuration { job, name } => {
                 let entry = st.jobs.get(&job).ok_or(JiffyError::UnknownJob(job.raw()))?;
@@ -1000,8 +1053,7 @@ impl Controller {
             } => {
                 let (bytes, ops) =
                     self.flush_prefix(st, job, &name, &external_path, false, false)?;
-                self.journal_append(st, ops)?;
-                Ok(ControlResponse::Persisted { bytes })
+                self.commit(st, rid, ops, ControlResponse::Persisted { bytes })
             }
             ControlRequest::LoadPrefix {
                 job,
@@ -1009,8 +1061,7 @@ impl Controller {
                 external_path,
             } => {
                 let (bytes, ops) = self.load_prefix(st, job, &name, &external_path)?;
-                self.journal_append(st, ops)?;
-                Ok(ControlResponse::Persisted { bytes })
+                self.commit(st, rid, ops, ControlResponse::Persisted { bytes })
             }
             ControlRequest::JoinServer {
                 addr,
@@ -1019,16 +1070,18 @@ impl Controller {
                 let now = self.clock.now();
                 let (server, blocks) = st.freelist.register_server(addr.clone(), capacity_blocks);
                 st.detector.record(server, now);
-                self.journal_append(
+                let ops = vec![JournalOp::ServerJoined {
+                    server,
+                    addr,
+                    blocks: blocks.clone(),
+                    now_micros: u64::try_from(now.as_micros()).unwrap_or(u64::MAX),
+                }];
+                self.commit(
                     st,
-                    vec![JournalOp::ServerJoined {
-                        server,
-                        addr,
-                        blocks: blocks.clone(),
-                        now_micros: u64::try_from(now.as_micros()).unwrap_or(u64::MAX),
-                    }],
-                )?;
-                Ok(ControlResponse::ServerJoined { server, blocks })
+                    rid,
+                    ops,
+                    ControlResponse::ServerJoined { server, blocks },
+                )
             }
             ControlRequest::LeaveServer { server } => {
                 let blocks_migrated = self.drain_server_locked(st, server)?;
@@ -1036,12 +1089,12 @@ impl Controller {
                 st.detector.forget(server);
                 // Drained state is a multi-step outcome; checkpoint it
                 // wholesale rather than record-by-record.
-                let op = self.rewrite_op(st)?;
-                self.journal_append(st, vec![op])?;
-                Ok(ControlResponse::Drained {
+                let ops = vec![self.rewrite_op(st)?];
+                let resp = ControlResponse::Drained {
                     server,
                     blocks_migrated,
-                })
+                };
+                self.commit(st, rid, ops, resp)
             }
             ControlRequest::Heartbeat {
                 server,
@@ -1069,8 +1122,7 @@ impl Controller {
             ControlRequest::ListServers => Ok(ControlResponse::Servers(st.freelist.server_infos())),
             ControlRequest::ReportOverload { block, .. } => {
                 let (target, spec, ops) = self.handle_overload(st, block)?;
-                self.journal_append(st, ops)?;
-                Ok(ControlResponse::SplitTarget { target, spec })
+                self.commit(st, rid, ops, ControlResponse::SplitTarget { target, spec })
             }
             ControlRequest::ReportUnderload { block, .. } => {
                 let (target, spec, ops, reclaim) = self.handle_underload(st, block)?;
@@ -1079,9 +1131,10 @@ impl Controller {
                 // durable, replay routes the merged keyspace to the
                 // target, so clearing the source's stale copy can never
                 // orphan acked data.
-                self.journal_append(st, ops)?;
+                let resp =
+                    self.commit(st, rid, ops, ControlResponse::MergeTarget { target, spec })?;
                 deferred_resets.extend(reclaim);
-                Ok(ControlResponse::MergeTarget { target, spec })
+                Ok(resp)
             }
             ControlRequest::CommitRepartition { .. } => {
                 // Repartitions are controller-orchestrated and commit
@@ -1105,25 +1158,22 @@ impl Controller {
             } => {
                 st.tenants
                     .set(target, share, quota_bytes, ops_per_sec, bytes_per_sec);
-                self.journal_append(
-                    st,
-                    vec![JournalOp::TenantConfigured {
-                        tenant: target,
-                        share: share.max(1),
-                        quota_bytes,
-                        ops_per_sec,
-                        bytes_per_sec,
-                    }],
-                )?;
-                Ok(ControlResponse::Ack)
+                let ops = vec![JournalOp::TenantConfigured {
+                    tenant: target,
+                    share: share.max(1),
+                    quota_bytes,
+                    ops_per_sec,
+                    bytes_per_sec,
+                }];
+                self.commit(st, rid, ops, ControlResponse::Ack)
             }
             ControlRequest::AdoptJob { job, name } => {
                 // A sibling shard (shard 0) minted this job id; record
                 // it here so path operations routed to this shard
                 // resolve the job. Idempotent: re-adoption of a job we
                 // already know is an ack without a journal record.
-                match st.jobs.get(&job) {
-                    Some(existing) if existing.name == name => {}
+                let ops = match st.jobs.get(&job) {
+                    Some(existing) if existing.name == name => Vec::new(),
                     Some(existing) => {
                         return Err(JiffyError::Internal(format!(
                             "adopt {job}: registered as {:?}, not {name:?}",
@@ -1142,13 +1192,10 @@ impl Controller {
                         // Never mint below an adopted id, even on the
                         // (job-minting) shard 0 after a replayed adopt.
                         self.job_ids.bump_to(job.raw() + 1);
-                        self.journal_append(
-                            st,
-                            vec![JournalOp::JobRegistered { job, name, tenant }],
-                        )?;
+                        vec![JournalOp::JobRegistered { job, name, tenant }]
                     }
-                }
-                Ok(ControlResponse::Ack)
+                };
+                self.commit(st, rid, ops, ControlResponse::Ack)
             }
         }
     }
@@ -2708,6 +2755,80 @@ mod tests {
             live.state_mirror().normalized(),
             recovered.state_mirror().normalized()
         );
+    }
+
+    // ----- replay window (DESIGN.md §16) ---------------------------------
+
+    fn register_as(ctrl: &Controller, rid: u64) -> Result<ControlResponse> {
+        ctrl.dispatch_for(
+            ControlRequest::RegisterJob { name: "r".into() },
+            TenantId::ANONYMOUS,
+            rid,
+        )
+    }
+
+    #[test]
+    fn a_repeated_client_rid_replays_the_recorded_answer() {
+        let (ctrl, clock, store) = controller();
+        let rid = CLIENT_RID_BASE + 7;
+        let first = register_as(&ctrl, rid).unwrap();
+        assert_eq!(register_as(&ctrl, rid).unwrap(), first);
+        assert_eq!(ctrl.stats().jobs, 1, "the retry must not mint a job");
+        // The answer is journaled with the mutation and carried by
+        // snapshots: a recovered shard answers both retries identically,
+        // one from the snapshot, one from the journal tail.
+        ctrl.snapshot_now().unwrap();
+        let second = register_as(&ctrl, rid + 1).unwrap();
+        let rec = recover(&clock, &store);
+        assert_recovered_matches(&ctrl, &rec);
+        assert_eq!(register_as(&rec, rid).unwrap(), first);
+        assert_eq!(register_as(&rec, rid + 1).unwrap(), second);
+        assert_eq!(rec.stats().jobs, 2);
+        // A fresh rid is a fresh request.
+        assert_ne!(register_as(&rec, rid + 2).unwrap(), first);
+        assert_eq!(rec.stats().jobs, 3);
+    }
+
+    #[test]
+    fn untracked_rids_always_execute() {
+        let (ctrl, _clock, _) = controller();
+        // 0 is internal traffic; small ids are per-connection auto-ids.
+        for rid in [INTERNAL_RID, INTERNAL_RID, 5, 5] {
+            register_as(&ctrl, rid).unwrap();
+        }
+        assert_eq!(ctrl.stats().jobs, 4);
+        assert!(ctrl.state_mirror().answered.is_empty());
+    }
+
+    #[test]
+    fn error_answers_are_not_recorded() {
+        // An error means "did not take effect": a retry of the same rid
+        // must execute again rather than replay a healed rejection.
+        let (ctrl, _clock, _) = controller();
+        let job = register(&ctrl);
+        let rid = CLIENT_RID_BASE + 21;
+        let remove = || {
+            ctrl.dispatch_for(
+                ControlRequest::RemovePrefix {
+                    job,
+                    name: "late".into(),
+                },
+                TenantId::ANONYMOUS,
+                rid,
+            )
+        };
+        assert!(matches!(remove(), Err(JiffyError::PathNotFound(_))));
+        ctrl.dispatch(ControlRequest::CreatePrefix {
+            job,
+            name: "late".into(),
+            parents: vec![],
+            ds: None,
+            initial_blocks: 0,
+        })
+        .unwrap();
+        assert_eq!(remove().unwrap(), ControlResponse::Ack);
+        assert_eq!(remove().unwrap(), ControlResponse::Ack, "now replayed");
+        assert_eq!(ctrl.state_mirror().answered.len(), 1);
     }
 
     #[test]

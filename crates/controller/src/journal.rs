@@ -27,6 +27,8 @@
 //! [`Controller::recover`](crate::Controller::recover), which re-arms
 //! leases and seeds the failure detector from the recovery clock —
 //! the journal is authoritative for metadata, heartbeats for liveness.
+//! Replay rebuilds the replay window from [`JournalOp::Answered`] records.
+//! Records are a stable format; a [`StateMirror`] is not ([`decode_mirror`]).
 
 use jiffy_sync::Arc;
 use std::collections::HashMap;
@@ -37,6 +39,7 @@ use jiffy_persistent::ObjectStore;
 use jiffy_proto::{
     from_bytes, to_bytes, JournalBatch, JournalOp, JournalRecord, JournalSnapshot, TenantLimit,
 };
+use jiffy_rpc::ReplayWindow;
 use serde::{Deserialize, Serialize};
 
 use crate::controller::{Counters, CtrlState, JobEntry};
@@ -55,10 +58,24 @@ const JOURNAL_DIR: &str = "journal/";
 /// Snapshot objects live at `{meta_prefix}snapshot/{last_seq:020}`.
 const SNAPSHOT_DIR: &str = "snapshot/";
 
+/// A shard replay window, bounded like a block's (512 answers, 1 MiB):
+/// far above the control requests a shard has in flight. Answers are
+/// kept wire-encoded, a few dozen bytes instead of a `ControlResponse`.
+pub(crate) fn answer_window() -> ReplayWindow<Vec<u8>> {
+    ReplayWindow::new(512, 1 << 20)
+}
+
+/// Records the encoded `answer` to `rid`, weighted by its size plus
+/// per-entry bookkeeping, live and in replay alike.
+pub(crate) fn record_answer(window: &mut ReplayWindow<Vec<u8>>, rid: u64, answer: Vec<u8>) {
+    let weight = answer.len() as u64 + 48;
+    window.insert(rid, answer, weight);
+}
+
 /// A deterministic, order-independent serialization of the controller's
 /// entire metadata state: jobs and their address hierarchies, the block
-/// freelist/membership table, the block→owner reverse map, counters, and
-/// the job-id high-water mark.
+/// freelist/membership table, the block→owner reverse map, counters, the
+/// job-id high-water mark, tenant limits and the replay window.
 ///
 /// Mirrors built from two controllers with identical logical state are
 /// `==` (collections are emitted in sorted order), which is what the
@@ -77,6 +94,9 @@ pub struct StateMirror {
     pub next_job_id: u64,
     /// Explicitly configured tenant QoS limits, sorted by tenant id.
     pub tenants: Vec<TenantLimit>,
+    /// The replay window's `(request id, encoded answer)` pairs, least
+    /// recently used first.
+    pub answered: Vec<(u64, Vec<u8>)>,
 }
 
 /// One job's slice of a [`StateMirror`].
@@ -118,12 +138,14 @@ pub struct NodeMirror {
 impl StateMirror {
     /// A copy with the fields that legitimately differ across a
     /// crash/recover cycle zeroed: `ops_served` (replay does not count
-    /// as serving) and every lease clock (recovery re-arms all leases to
-    /// the restart instant). Everything else must match exactly.
+    /// as serving), every lease clock (recovery re-arms all leases to
+    /// the restart instant) and the replay window's recency order (touches
+    /// are not journaled). Everything else must match exactly.
     #[must_use]
     pub fn normalized(&self) -> StateMirror {
         let mut m = self.clone();
         m.counters.ops_served = 0;
+        m.answered.sort_by_key(|(rid, _)| *rid);
         for job in &mut m.jobs {
             for node in &mut job.nodes {
                 node.last_renewal_micros = 0;
@@ -179,7 +201,18 @@ pub(crate) fn mirror_of(st: &CtrlState, next_job_id: u64) -> StateMirror {
         counters: st.counters.clone(),
         next_job_id,
         tenants: st.tenants.snapshot(),
+        answered: st.answered.entries(),
     }
+}
+
+/// Decodes a wire-encoded [`StateMirror`]; one written before the replay
+/// window joined it ends a field early and decodes with an empty window.
+pub(crate) fn decode_mirror(bytes: &[u8]) -> Result<StateMirror> {
+    from_bytes(bytes).or_else(|err| {
+        let mut padded = bytes.to_vec();
+        padded.extend(to_bytes(&Vec::<(u64, Vec<u8>)>::new())?);
+        from_bytes(&padded).map_err(|_| err)
+    })
 }
 
 /// The metadata tables rebuilt by [`recover_from`], ready to be wrapped
@@ -194,6 +227,8 @@ pub(crate) struct RecoveredState {
     pub(crate) next_seq: u64,
     /// Explicitly configured tenant QoS limits.
     pub(crate) tenants: Vec<TenantLimit>,
+    /// The shard's replay window.
+    pub(crate) answered: ReplayWindow<Vec<u8>>,
 }
 
 impl RecoveredState {
@@ -206,6 +241,7 @@ impl RecoveredState {
             next_job_id: 0,
             next_seq: 0,
             tenants: Vec::new(),
+            answered: answer_window(),
         }
     }
 
@@ -249,6 +285,10 @@ impl RecoveredState {
         self.counters = mirror.counters.clone();
         self.next_job_id = mirror.next_job_id;
         self.tenants = mirror.tenants.clone();
+        self.answered = answer_window();
+        for (rid, answer) in &mirror.answered {
+            record_answer(&mut self.answered, *rid, answer.clone());
+        }
         Ok(())
     }
 }
@@ -452,8 +492,7 @@ pub(crate) fn apply_op(state: &mut RecoveredState, op: &JournalOp) -> Result<()>
             }
         }
         JournalOp::StateRewritten { mirror } => {
-            let mirror: StateMirror = from_bytes(mirror)?;
-            state.install_mirror(&mirror)?;
+            state.install_mirror(&decode_mirror(mirror)?)?;
         }
         JournalOp::TenantConfigured {
             tenant,
@@ -475,6 +514,9 @@ pub(crate) fn apply_op(state: &mut RecoveredState, op: &JournalOp) -> Result<()>
                 Ok(i) => state.tenants[i] = limit,
                 Err(i) => state.tenants.insert(i, limit),
             }
+        }
+        JournalOp::Answered { rid, resp } => {
+            record_answer(&mut state.answered, *rid, to_bytes(resp)?);
         }
     }
     Ok(())
@@ -505,8 +547,7 @@ pub(crate) fn recover_from(store: &dyn ObjectStore, meta_prefix: &str) -> Result
     snapshots.sort();
     if let Some(path) = snapshots.last() {
         let snap: JournalSnapshot = from_bytes(&store.get(path)?)?;
-        let mirror: StateMirror = from_bytes(&snap.mirror)?;
-        state.install_mirror(&mirror)?;
+        state.install_mirror(&decode_mirror(&snap.mirror)?)?;
         last_applied = Some(snap.last_seq);
     }
 

@@ -26,10 +26,11 @@ use jiffy_common::{JiffyConfig, JiffyError, JobId, Result, TenantId};
 use jiffy_persistent::ObjectStore;
 use jiffy_proto::{
     ControlRequest, ControlResponse, DagNodeSpec, Envelope, ShardMap, TenantStatsEntry,
+    INTERNAL_RID,
 };
 use jiffy_rpc::{Service, SessionHandle};
 
-use crate::controller::{Controller, DataPlane, ShardIdentity};
+use crate::controller::{is_client_rid, Controller, DataPlane, ShardIdentity};
 
 /// Everything needed to re-create a shard after a crash.
 struct RebuildCtx {
@@ -251,7 +252,7 @@ impl ShardedController {
             .unwrap_or_else(|| node.to_string())
     }
 
-    /// Forwards a request to shard `idx`, failing retryably if the
+    /// Forwards request `rid` to shard `idx`, failing retryably if the
     /// shard is dark. The shard itself journals mutations before
     /// acking, so forwarding through here preserves journal-before-ack
     /// (xtask lint rule 5 recognizes this helper by name).
@@ -260,6 +261,7 @@ impl ShardedController {
         idx: u32,
         req: ControlRequest,
         tenant: TenantId,
+        rid: u64,
     ) -> Result<ControlResponse> {
         let slot = self.slots[idx as usize].read();
         let shard = slot
@@ -267,7 +269,7 @@ impl ShardedController {
             .ok_or_else(|| JiffyError::shard_unavailable(idx))?
             .clone();
         drop(slot);
-        shard.dispatch_as(req, tenant)
+        shard.dispatch_for(req, tenant, rid)
     }
 
     /// Routes one request. See [`Self::dispatch_as`].
@@ -276,7 +278,7 @@ impl ShardedController {
     }
 
     /// Routes one request on behalf of `tenant` (QoS accounting flows
-    /// through to the owning shard).
+    /// through to the owning shard). Untracked by the replay windows.
     ///
     /// # Errors
     ///
@@ -284,6 +286,12 @@ impl ShardedController {
     /// (retryable); cross-shard structural errors; whatever the owning
     /// shard returns.
     pub fn dispatch_as(&self, req: ControlRequest, tenant: TenantId) -> Result<ControlResponse> {
+        self.route(req, tenant, INTERNAL_RID)
+    }
+
+    /// Routes request `rid`, passing it to every shard reached (fan-outs
+    /// too): a retry after a partial fan-out runs only where it did not.
+    fn route(&self, req: ControlRequest, tenant: TenantId, rid: u64) -> Result<ControlResponse> {
         let n = self.map.num_shards;
         match req {
             // Jobs are minted by shard 0 (the only shard whose job-id
@@ -291,7 +299,7 @@ impl ShardedController {
             // shard can own hierarchy roots of any job.
             ControlRequest::RegisterJob { ref name } => {
                 let job_name = name.clone();
-                let resp = self.dispatch_journaled(0, req, tenant)?;
+                let resp = self.dispatch_journaled(0, req, tenant, rid)?;
                 if let ControlResponse::JobRegistered { job } = resp {
                     for i in 1..n {
                         self.dispatch_journaled(
@@ -301,6 +309,7 @@ impl ShardedController {
                                 name: job_name.clone(),
                             },
                             tenant,
+                            rid,
                         )?;
                     }
                 }
@@ -308,13 +317,13 @@ impl ShardedController {
             }
             ControlRequest::AdoptJob { .. } => {
                 for i in 0..n {
-                    self.dispatch_journaled(i, req.clone(), tenant)?;
+                    self.dispatch_journaled(i, req.clone(), tenant, rid)?;
                 }
                 Ok(ControlResponse::Ack)
             }
             ControlRequest::DeregisterJob { job } => {
                 for i in 0..n {
-                    self.dispatch_journaled(i, req.clone(), tenant)?;
+                    self.dispatch_journaled(i, req.clone(), tenant, rid)?;
                 }
                 self.roots.write().retain(|(j, _), _| *j != job.raw());
                 Ok(ControlResponse::Ack)
@@ -322,7 +331,7 @@ impl ShardedController {
             ControlRequest::SetTenantShare { .. } => {
                 let mut resp = ControlResponse::Ack;
                 for i in 0..n {
-                    resp = self.dispatch_journaled(i, req.clone(), tenant)?;
+                    resp = self.dispatch_journaled(i, req.clone(), tenant, rid)?;
                 }
                 Ok(resp)
             }
@@ -334,7 +343,7 @@ impl ShardedController {
             } => {
                 let (shard, root) = self.placement_of(job, name, parents)?;
                 let node = name.clone();
-                let resp = self.dispatch_journaled(shard, req, tenant)?;
+                let resp = self.dispatch_journaled(shard, req, tenant, rid)?;
                 self.roots.write().insert((job.raw(), node), root);
                 Ok(resp)
             }
@@ -353,13 +362,13 @@ impl ShardedController {
                          {parent_shard} vs {child_shard} (roots must co-hash)"
                     )));
                 }
-                self.dispatch_journaled(child_shard, req, tenant)
+                self.dispatch_journaled(child_shard, req, tenant, rid)
             }
             ControlRequest::CreateHierarchy { job, ref nodes } => {
                 match self.hierarchy_placement(job, nodes)? {
                     Ok(shard) => {
                         let placed: Vec<(String, String)> = self.hierarchy_roots(job, nodes);
-                        let resp = self.dispatch_journaled(shard, req, tenant)?;
+                        let resp = self.dispatch_journaled(shard, req, tenant, rid)?;
                         let mut table = self.roots.write();
                         for (node, root) in placed {
                             table.insert((job.raw(), node), root);
@@ -376,45 +385,49 @@ impl ShardedController {
                     }),
                 }
             }
+            // The root entry outlives the node, so a retry routes back.
             ControlRequest::RemovePrefix { job, ref name } => {
                 let shard = self.route_path(job, name);
-                let node = name.clone();
-                let resp = self.dispatch_journaled(shard, req, tenant)?;
-                self.roots.write().remove(&(job.raw(), node));
-                Ok(resp)
+                self.dispatch_journaled(shard, req, tenant, rid)
             }
             // Membership and data-plane reports route by id residue
             // class (shards mint strided server/block ids); a joining
             // server has no id yet, so placement is round-robin over
-            // the live shards — its strided id then pins it there.
+            // the live shards — its strided id then pins it there. A
+            // client-stamped join goes by rid, so its retry does too.
             ControlRequest::JoinServer { .. } => {
-                let start = (self.joins.fetch_add(1, Ordering::Relaxed) % u64::from(n)) as u32;
-                let shard = (0..n)
-                    .map(|off| (start + off) % n)
-                    .find(|&s| self.slots[s as usize].read().is_some())
-                    .unwrap_or(start);
-                self.dispatch_journaled(shard, req, tenant)
+                let shard = if is_client_rid(rid) {
+                    (rid % u64::from(n)) as u32
+                } else {
+                    let start = (self.joins.fetch_add(1, Ordering::Relaxed) % u64::from(n)) as u32;
+                    (0..n)
+                        .map(|off| (start + off) % n)
+                        .find(|&s| self.slots[s as usize].read().is_some())
+                        .unwrap_or(start)
+                };
+                self.dispatch_journaled(shard, req, tenant, rid)
             }
             ControlRequest::LeaveServer { server } | ControlRequest::Heartbeat { server, .. } => {
-                self.dispatch_journaled(self.map.shard_of_server(server), req, tenant)
+                self.dispatch_journaled(self.map.shard_of_server(server), req, tenant, rid)
             }
             ControlRequest::ReportOverload { block, .. }
             | ControlRequest::ReportUnderload { block, .. }
             | ControlRequest::CommitRepartition { block, .. } => {
-                self.dispatch_journaled(self.map.shard_of_block(block), req, tenant)
+                self.dispatch_journaled(self.map.shard_of_block(block), req, tenant, rid)
             }
             // Observability fans out and aggregates.
             ControlRequest::GetStats => {
                 let mut agg = jiffy_proto::ControllerStats::default();
                 for i in 0..n {
-                    let st = match self.dispatch_journaled(i, ControlRequest::GetStats, tenant)? {
-                        ControlResponse::Stats(st) => st,
-                        other => {
-                            return Err(JiffyError::Internal(format!(
-                                "shard {i} returned {other:?} for GetStats"
-                            )))
-                        }
-                    };
+                    let st =
+                        match self.dispatch_journaled(i, ControlRequest::GetStats, tenant, rid)? {
+                            ControlResponse::Stats(st) => st,
+                            other => {
+                                return Err(JiffyError::Internal(format!(
+                                    "shard {i} returned {other:?} for GetStats"
+                                )))
+                            }
+                        };
                     agg.free_blocks += st.free_blocks;
                     agg.total_blocks += st.total_blocks;
                     agg.jobs += st.jobs;
@@ -438,7 +451,7 @@ impl ShardedController {
             ControlRequest::ListServers => {
                 let mut servers = Vec::new();
                 for i in 0..n {
-                    match self.dispatch_journaled(i, ControlRequest::ListServers, tenant)? {
+                    match self.dispatch_journaled(i, ControlRequest::ListServers, tenant, rid)? {
                         ControlResponse::Servers(mut s) => servers.append(&mut s),
                         other => {
                             return Err(JiffyError::Internal(format!(
@@ -453,7 +466,7 @@ impl ShardedController {
             ControlRequest::ListPrefixes { .. } => {
                 let mut names = Vec::new();
                 for i in 0..n {
-                    match self.dispatch_journaled(i, req.clone(), tenant)? {
+                    match self.dispatch_journaled(i, req.clone(), tenant, rid)? {
                         ControlResponse::Prefixes(mut p) => names.append(&mut p),
                         other => {
                             return Err(JiffyError::Internal(format!(
@@ -468,7 +481,7 @@ impl ShardedController {
             ControlRequest::TenantStats => {
                 let mut by_tenant: HashMap<u64, TenantStatsEntry> = HashMap::new();
                 for i in 0..n {
-                    match self.dispatch_journaled(i, ControlRequest::TenantStats, tenant)? {
+                    match self.dispatch_journaled(i, ControlRequest::TenantStats, tenant, rid)? {
                         ControlResponse::TenantStatsReport(entries) => {
                             for e in entries {
                                 let agg = by_tenant.entry(e.tenant.raw()).or_insert_with(|| {
@@ -513,7 +526,7 @@ impl ShardedController {
                     JiffyError::Internal(format!("request has no shard scope: {other:?}"))
                 })?;
                 let shard = self.route_path(job, &name);
-                self.dispatch_journaled(shard, other, tenant)
+                self.dispatch_journaled(shard, other, tenant, rid)
             }
         }
     }
@@ -596,7 +609,7 @@ impl Service for ShardedController {
     fn handle(&self, req: Envelope, _session: &SessionHandle) -> Envelope {
         match req {
             Envelope::ControlReq { id, req, tenant } => {
-                let resp = self.dispatch_as(req, tenant);
+                let resp = self.route(req, tenant, id);
                 // Epoch loaded after dispatch: a response to the very op
                 // that changed placement already carries the bump.
                 Envelope::ControlResp {

@@ -3,7 +3,10 @@
 //! reproduce the live controller's state exactly — including when a
 //! snapshot interleaves the history, and when a crash left the snapshot
 //! *and* the journal records it already covers (failed truncation), so
-//! records are seen twice.
+//! records are seen twice. Part of every history arrives over the wire
+//! with client-stamped request ids, some of them retried, so "state"
+//! includes the replay window: the recovered shard must hold exactly the
+//! answers the live one recorded.
 
 // Test-only target: setup helpers outside `#[test]` fns may panic on
 // rig construction failure (the workspace `expect_used` lint is aimed
@@ -12,9 +15,10 @@
 
 use jiffy_common::clock::{ManualClock, SharedClock};
 use jiffy_common::{BlockId, JiffyConfig};
-use jiffy_controller::{Controller, NoopDataPlane};
+use jiffy_controller::{Controller, NoopDataPlane, ShardedController};
 use jiffy_persistent::{MemObjectStore, ObjectStore};
-use jiffy_proto::{ControlRequest, ControlResponse, DsType};
+use jiffy_proto::{ControlRequest, ControlResponse, DsType, Envelope, CLIENT_RID_BASE};
+use jiffy_rpc::{Service, SessionHandle};
 use jiffy_sync::Arc;
 use proptest::prelude::*;
 
@@ -61,6 +65,9 @@ fn request_for(job: jiffy_common::JobId, opcode: u8, arg: u8) -> ControlRequest 
 }
 
 struct Rig {
+    /// A one-shard control plane, so wire envelopes (and their ids) reach
+    /// `ctrl` exactly as they do in a served cluster.
+    plane: ShardedController,
     ctrl: Arc<Controller>,
     clock: Arc<ManualClock>,
     store: Arc<MemObjectStore>,
@@ -71,8 +78,15 @@ struct Rig {
 fn rig(cfg: JiffyConfig) -> Rig {
     let (clock, shared) = ManualClock::shared();
     let store = Arc::new(MemObjectStore::new());
-    let ctrl = Controller::new(cfg.clone(), shared, Arc::new(NoopDataPlane), store.clone())
-        .expect("fresh controller");
+    let plane = ShardedController::build(
+        cfg.clone(),
+        shared,
+        Arc::new(NoopDataPlane),
+        store.clone(),
+        1,
+    )
+    .expect("fresh controller");
+    let ctrl = plane.shard(0);
     ctrl.dispatch(ControlRequest::JoinServer {
         addr: "inproc:seed".into(),
         capacity_blocks: 8,
@@ -88,6 +102,7 @@ fn rig(cfg: JiffyConfig) -> Rig {
         other => panic!("{other:?}"),
     };
     Rig {
+        plane,
         ctrl,
         clock,
         store,
@@ -107,6 +122,38 @@ fn recovered(r: &Rig) -> Arc<Controller> {
     .expect("recovery")
 }
 
+/// Plays a history. `mode % 4`: 0 dispatches untracked, 1 and 2 send an
+/// envelope with a fresh client rid, 3 re-sends the last such envelope
+/// (a client retry: same id, same request).
+fn play(r: &Rig, ops: &[(u8, u8, u8)]) {
+    let session = SessionHandle::new(Arc::new(|_| {}));
+    let mut last: Option<Envelope> = None;
+    for (i, (opcode, arg, mode)) in ops.iter().enumerate() {
+        let req = request_for(r.job, *opcode, *arg);
+        // Individual requests may legitimately fail (duplicate create,
+        // flush of a bare prefix, unknown block); the invariant under
+        // test is journal fidelity, not op success.
+        let env = match mode % 4 {
+            0 => {
+                let _ = r.ctrl.dispatch(req);
+                continue;
+            }
+            3 if last.is_some() => last.clone().expect("checked"),
+            _ => Envelope::ControlReq {
+                id: CLIENT_RID_BASE + i as u64,
+                req,
+                tenant: jiffy_common::TenantId::ANONYMOUS,
+            },
+        };
+        let _ = r.plane.handle(env.clone(), &session);
+        last = Some(env);
+    }
+}
+
+fn history() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
+    proptest::collection::vec((0u8..8, any::<u8>(), any::<u8>()), 1..40)
+}
+
 fn assert_equivalent(live: &Controller, rec: &Controller) -> Result<(), TestCaseError> {
     let violations = rec.check_invariants();
     prop_assert!(violations.is_empty(), "{:?}", violations);
@@ -124,16 +171,9 @@ proptest! {
     /// several snapshot+truncate cycles; recovery must land on the live
     /// state regardless of where the last snapshot fell.
     #[test]
-    fn random_histories_recover_exactly(
-        ops in proptest::collection::vec((0u8..8, any::<u8>()), 1..40))
-    {
+    fn random_histories_recover_exactly(ops in history()) {
         let r = rig(JiffyConfig::for_testing().with_meta_snapshot_every(3));
-        for (opcode, arg) in &ops {
-            // Individual requests may legitimately fail (duplicate
-            // create, flush of a bare prefix, unknown block); the
-            // invariant under test is journal fidelity, not op success.
-            let _ = r.ctrl.dispatch(request_for(r.job, *opcode, *arg));
-        }
+        play(&r, &ops);
         assert_equivalent(&r.ctrl, &recovered(&r))?;
     }
 
@@ -141,13 +181,9 @@ proptest! {
     /// truncated records next to the snapshot that covers them, then
     /// recover twice more for good measure.
     #[test]
-    fn double_replay_is_idempotent(
-        ops in proptest::collection::vec((0u8..8, any::<u8>()), 1..40))
-    {
+    fn double_replay_is_idempotent(ops in history()) {
         let r = rig(JiffyConfig::for_testing().with_meta_snapshot_every(0));
-        for (opcode, arg) in &ops {
-            let _ = r.ctrl.dispatch(request_for(r.job, *opcode, *arg));
-        }
+        play(&r, &ops);
         let saved: Vec<(String, Vec<u8>)> = r
             .store
             .list("jiffy-meta/journal/")

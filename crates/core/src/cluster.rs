@@ -20,7 +20,7 @@ use jiffy_elastic::{AutoscalerPolicy, ServerProvider};
 use jiffy_persistent::{MemObjectStore, ObjectStore};
 use jiffy_proto::{ControlRequest, ControlResponse};
 use jiffy_rpc::tcp::{serve_tcp, TcpServerHandle};
-use jiffy_rpc::{Deduplicated, Fabric, Service};
+use jiffy_rpc::{Fabric, Service};
 use jiffy_server::MemoryServer;
 
 /// The mutable part of the cluster, shared with the [`ServerProvider`]
@@ -96,20 +96,18 @@ impl ServerProvider for ClusterInner {
     }
 }
 
-/// Puts the control plane on the wire behind a fresh [`Deduplicated`]
-/// — the control plane's one dedup mechanism: a per-session replay
-/// cache, so a client retrying a timed-out request (same request id)
-/// never runs a non-idempotent handler twice. (Memory servers are served
-/// bare: their dedup is the per-block replay window.) `at` is `None` at
-/// boot (a fresh hub name / ephemeral port) and the address clients
-/// already hold at a restart.
+/// Puts the control plane on the wire, bare: each shard answers retried
+/// requests from its own journal-backed replay window, just as each
+/// block does on the data plane, so nothing needs to sit in front of
+/// the router. `at` is `None` at boot (a fresh hub name / ephemeral
+/// port) and the address clients already hold at a restart.
 fn serve_control(
     fabric: &Fabric,
     control: &Arc<ShardedController>,
     tcp: bool,
     at: Option<&str>,
 ) -> Result<(String, Option<TcpServerHandle>)> {
-    let svc: Arc<dyn Service> = Deduplicated::shared(control.clone());
+    let svc: Arc<dyn Service> = control.clone();
     if !tcp {
         let Some(addr) = at else {
             return Ok((fabric.hub().register(svc), None));
@@ -535,12 +533,11 @@ impl JiffyCluster {
     }
 
     /// Restarts the whole control plane at the same address: every shard
-    /// recovers as in [`Self::restart_controller_shard`], then the
-    /// endpoint comes back behind a fresh replay cache — the old one
-    /// died with the process, so exactly-once across the crash leans on
-    /// idempotent handlers (DESIGN.md §11). Servers keep heartbeating
-    /// into the new instances and clients retry through the restart
-    /// window transparently.
+    /// recovers as in [`Self::restart_controller_shard`] — replay
+    /// window included, so a retry of a request the crashed plane
+    /// answered gets the same answer (DESIGN.md §11) — then the endpoint
+    /// comes back. Servers keep heartbeating into the new instances and
+    /// clients retry through the restart window transparently.
     ///
     /// # Errors
     ///

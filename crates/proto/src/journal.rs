@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use jiffy_common::{BlockId, JobId, ServerId, TenantId};
 
-use crate::messages::{BlockLocation, MergeSpec, SplitSpec};
+use crate::messages::{BlockLocation, ControlResponse, MergeSpec, SplitSpec};
 
 /// One journal object: the batch of records appended by a single
 /// control-plane dispatch. Object puts are atomic (temp file + rename),
@@ -210,6 +210,15 @@ pub enum JournalOp {
         /// Data-plane byte rate limit per second (0 = unlimited).
         bytes_per_sec: u64,
     },
+    /// The answer acked to client request `rid`, in the same batch as
+    /// the mutation it answers; replay rebuilds the shard's replay window
+    /// from these. Appended last to keep wire variant indices stable.
+    Answered {
+        /// The client-stamped request id.
+        rid: u64,
+        /// The response acked to it.
+        resp: ControlResponse,
+    },
 }
 
 /// A snapshot object: the controller's full metadata state as of
@@ -278,6 +287,13 @@ mod tests {
                         quota_bytes: 1 << 20,
                         ops_per_sec: 1_000,
                         bytes_per_sec: 0,
+                    },
+                },
+                JournalRecord {
+                    seq: 4,
+                    op: JournalOp::Answered {
+                        rid: 1 << 32,
+                        resp: ControlResponse::JobRegistered { job: JobId(3) },
                     },
                 },
             ],

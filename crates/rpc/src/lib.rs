@@ -24,8 +24,8 @@
 //! - [`retry`] — exponential-backoff [`RetryPolicy`] for transport-level
 //!   faults.
 //! - [`dedup`] — same-id retries execute exactly once: the bounded
-//!   [`ReplayWindow`] (embedded per block on the data plane) and the
-//!   per-session [`Deduplicated`] cache in front of the controller.
+//!   [`ReplayWindow`], embedded per block on the data plane and per
+//!   controller shard on the control plane.
 //!
 //! [`Service`]: service::Service
 
@@ -38,7 +38,7 @@ pub mod retry;
 pub mod service;
 pub mod tcp;
 
-pub use dedup::{Deduplicated, ReplayWindow};
+pub use dedup::ReplayWindow;
 pub use fabric::{Fabric, LatencyInjector};
 pub use fault::{ChaosConn, FaultInjector, FaultRule, FaultStats};
 pub use inproc::InprocHub;

@@ -4,8 +4,9 @@
 //! [`JiffyError::class`]; this module handles the *transport* subset
 //! ([`JiffyError::is_transport`]): timeouts, unavailability and broken
 //! connections, where the request may or may not have executed. Callers
-//! retry those with the **same request id** so the server side (see
-//! [`crate::dedup`]) answers from its record instead of re-executing.
+//! retry those with the **same request id**, on whatever connection they
+//! can get: the server side (see [`crate::dedup`]) keys its record by
+//! request id alone and answers from it instead of re-executing.
 //!
 //! [`JiffyError::class`]: jiffy_common::JiffyError::class
 //! [`JiffyError::is_transport`]: jiffy_common::JiffyError::is_transport

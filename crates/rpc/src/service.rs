@@ -34,11 +34,6 @@ impl SessionHandle {
         }
     }
 
-    /// Process-unique session identifier.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Pushes a notification to the session's client. Delivery is
     /// best-effort: a disconnected session drops the notification.
     pub fn push(&self, n: Notification) {
@@ -176,7 +171,6 @@ mod tests {
         let p: Arc<dyn Fn(Notification) + Send + Sync> = Arc::new(|_| {});
         let a = SessionHandle::new(p.clone());
         let b = SessionHandle::new(p);
-        assert_ne!(a.id(), b.id());
         assert_ne!(a, b);
         assert_eq!(a, a.clone());
     }

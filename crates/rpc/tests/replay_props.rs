@@ -1,6 +1,6 @@
 //! Property-based tests for [`ReplayWindow`] — the bounded replay
-//! window under both the per-session dedup cache and the per-block
-//! exactly-once window (DESIGN.md par.16).
+//! window behind both the per-block and the per-controller-shard
+//! exactly-once record (DESIGN.md par.16).
 //!
 //! Two properties matter operationally: the window's memory is bounded
 //! no matter the insert/lookup sequence (a block cannot be ballooned by

@@ -15,11 +15,19 @@
 //! from replayed answers, not from lucky schedules that never retried.
 //! (The deterministic replay-path matrix lives in `jiffy-server`;
 //! these schedules prove the same machinery end to end under chaos.)
+//!
+//! The control plane gets the same treatment: a client whose controller
+//! replies are lost 30 % of the time, with a whole-plane crash mid-run,
+//! must leave exactly the jobs it was acked — each shard answers the
+//! retries from its journal-backed replay window.
 
 use std::time::Duration;
 
+use jiffy::cluster::JiffyCluster;
+use jiffy::{JiffyClient, JiffyConfig};
 use jiffy_harness::{run, ElasticAction, HarnessConfig, WorkloadMix};
-use jiffy_rpc::FaultRule;
+use jiffy_rpc::{FaultInjector, FaultRule, RetryPolicy};
+use jiffy_sync::Arc;
 
 /// Chaos tuned to manufacture the retry race: reply-side drops leave
 /// executed-but-unacked writes behind, transient errors fail attempts
@@ -111,4 +119,61 @@ fn unreplicated_single_op_writes_survive_a_drain_exactly_once() {
 #[test]
 fn unreplicated_batched_writes_survive_a_drain_exactly_once() {
     battery(0xE10F_3000, 6, 23, 1, ElasticAction::DrainServer);
+}
+
+#[test]
+fn lost_controller_replies_never_duplicate_a_control_mutation() {
+    lower_call_timeout();
+    let cluster = Arc::new(JiffyCluster::in_process(JiffyConfig::for_testing(), 2, 64).unwrap());
+    let injector = Arc::new(FaultInjector::new(7));
+    injector.set_rule(cluster.controller_addr(), FaultRule::none().with_drop(0.3));
+    let fabric = cluster
+        .fabric()
+        .clone()
+        .with_fault_injection(injector.clone());
+    // Enough attempts that a 30 % loss rate never exhausts a call: every
+    // call is acked, so the job count must equal the call count.
+    let client = JiffyClient::connect(fabric, cluster.controller_addr())
+        .unwrap()
+        .with_retry_policy(RetryPolicy {
+            max_attempts: 40,
+            base_delay: Duration::from_millis(1),
+            max_delay: Duration::from_millis(20),
+            multiplier: 2.0,
+        });
+    let mut acked = 0u64;
+    let mut prefix_errors = Vec::new();
+    let mut restarter = None;
+    for i in 0..200 {
+        if i == 100 {
+            // Mid-run, the whole control plane dies; it comes back while
+            // the client is retrying into the dark endpoint.
+            cluster.crash_controller();
+            let cluster = Arc::clone(&cluster);
+            restarter = Some(std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                cluster.restart_controller()
+            }));
+        }
+        let job = client.register_job(&format!("job-{i}")).unwrap();
+        acked += 1;
+        if i % 5 == 0 {
+            if let Err(e) = job.open_kv("state", &[], 1) {
+                prefix_errors.push(format!("job {i} open: {e:?}"));
+            }
+            if let Err(e) = job.remove_addr_prefix("state") {
+                prefix_errors.push(format!("job {i} remove: {e:?}"));
+            }
+        }
+    }
+    restarter.expect("crash injected").join().unwrap().unwrap();
+    let lost = injector.stats().dropped_replies;
+    injector.set_enabled(false);
+    assert!(lost > 0, "no reply was lost: the test proves nothing");
+    assert_eq!(
+        client.stats().unwrap().jobs,
+        acked,
+        "{lost} lost replies re-executed a RegisterJob"
+    );
+    assert!(prefix_errors.is_empty(), "{prefix_errors:?}");
 }

@@ -25,8 +25,12 @@ fn ack_without_journal(req: ControlRequest) -> Result<ControlResponse, ()> {
     match req {
         ControlRequest::CreatePrefix { .. } => {
             // rule: journal-before-ack — the mutation is acked with no
-            // journal record; a crash here would lose it.
+            // `commit` (or journal record); a crash here would lose it.
             Ok(ControlResponse::Ack)
+        }
+        ControlRequest::RemovePrefix { .. } => {
+            // Journaled through commit, answer and all: exempt.
+            self.commit(st, rid, ops, ControlResponse::Ack)
         }
         ControlRequest::AdoptJob { .. } => {
             // rule: journal-before-ack — a router arm minting its own ack

@@ -32,7 +32,8 @@
 //!    for the literal-prefix heuristic by design.
 //! 5. **journal-before-ack** — in a `ControlRequest` dispatch match, an
 //!    arm for a metadata-mutating variant that constructs its own
-//!    `Ok(ControlResponse::...)` ack must call `journal_append` first
+//!    `Ok(ControlResponse::...)` ack must journal first — `journal_append`,
+//!    or `commit`, which journals the mutation together with its answer
 //!    (DESIGN.md §11): a crash after the ack must never lose the
 //!    mutation. Read-only arms (`ResolvePrefix`, `GetStats`, ...) and
 //!    the liveness-only `Heartbeat` are exempt, as are pure routers
@@ -470,7 +471,8 @@ const MUTATING_CONTROL_ARMS: &[&str] = &[
 ];
 
 /// Rule 5: a mutating `ControlRequest::` arm that mints its own
-/// `Ok(ControlResponse::...)` ack must call `journal_append` first.
+/// `Ok(ControlResponse::...)` ack must journal first: `journal_append`,
+/// or `.commit(..)` (journal the mutation and its answer, then ack).
 ///
 /// Same region machinery as rule 4: a `match` region tracks the brace
 /// depth its arms sit at; an arm opens on a `ControlRequest::<Variant>`
@@ -489,9 +491,9 @@ fn check_journal_before_ack(rel: &Path, text: &str, out: &mut Vec<Violation>) {
         start_line: usize,
         /// Any pattern in the (possibly `|`-joined) arm is mutating.
         mutating: bool,
-        /// Saw `journal_append` already.
+        /// Saw a journaling call already.
         journaled: bool,
-        /// First `Ok(ControlResponse::` seen before any `journal_append`.
+        /// First `Ok(ControlResponse::` seen before any journaling call.
         unjournaled_ack: Option<usize>,
     }
     struct Region {
@@ -516,12 +518,13 @@ fn check_journal_before_ack(rel: &Path, text: &str, out: &mut Vec<Violation>) {
     }
 
     fn scan_into(arm: &mut Arm, line_no: usize, code: &str) {
-        // Per-shard routers journal by forwarding: `dispatch_journaled`
-        // lands on a shard whose own dispatch journals before acking.
-        let journal = match (code.find("journal_append"), code.find("dispatch_journaled")) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        // `commit` journals the mutation with its answer; per-shard
+        // routers journal by forwarding: `dispatch_journaled` lands on a
+        // shard whose own dispatch journals before acking.
+        let journal = ["journal_append", ".commit(", "dispatch_journaled"]
+            .iter()
+            .filter_map(|token| code.find(token))
+            .min();
         if !arm.journaled && arm.unjournaled_ack.is_none() {
             if let Some(ack) = code.find("Ok(ControlResponse::") {
                 if journal.is_none_or(|j| j > ack) {
@@ -546,8 +549,8 @@ fn check_journal_before_ack(rel: &Path, text: &str, out: &mut Vec<Violation>) {
                 line,
                 message: format!(
                     "mutating ControlRequest arm (line {}) acks without a prior \
-                     `journal_append` — a controller crash after this ack would lose the \
-                     mutation; append the journal record first (DESIGN.md §11)",
+                     `journal_append` / `commit` — a controller crash after this ack would \
+                     lose the mutation; append the journal record first (DESIGN.md §11)",
                     arm.start_line
                 ),
             });
@@ -1220,10 +1223,24 @@ fn dispatch(req: ControlRequest) -> Result<ControlResponse> {
 
     #[test]
     fn journal_before_ack_accepts_journaled_arms_and_routers() {
-        // The canonical shape: mutate, journal, ack.
+        // The canonical shapes: mutate, then commit (journal + answer +
+        // ack) or journal and ack.
         let good = "\
 fn dispatch(req: ControlRequest) -> Result<ControlResponse> {
     match req {
+        ControlRequest::RegisterJob { name } => {
+            let ops = vec![JournalOp::JobRegistered { job, name, tenant }];
+            self.commit(st, rid, ops, ControlResponse::JobRegistered { job })
+        }
+        ControlRequest::DeregisterJob { job } => {
+            let resp = self.commit(st, rid, ops, ControlResponse::Ack)?;
+            deferred_resets.extend(locs);
+            Ok(resp)
+        }
+        ControlRequest::LeaveServer { server } => {
+            self.commit(st, rid, ops, ControlResponse::Ack)?;
+            Ok(ControlResponse::Drained { server })
+        }
         ControlRequest::CreatePrefix { job, name } => {
             let ops = self.create_prefix(&mut st, job, &name)?;
             self.journal_append(&mut st, ops)?;
