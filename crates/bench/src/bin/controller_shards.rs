@@ -50,17 +50,13 @@ fn register(sc: &ShardedController, name: &str) -> JobId {
     }
 }
 
-/// Picks `per_shard` fresh root names that hash to `shard` and creates
-/// them (each becomes its own lease root on that shard).
-fn seed_shard(sc: &ShardedController, job: JobId, shard: u32, per_shard: usize) -> Vec<String> {
-    let mut names = Vec::with_capacity(per_shard);
-    let mut k = 0u64;
-    while names.len() < per_shard {
-        let name = format!("r{shard}x{k}");
-        k += 1;
-        if sc.route_path(job, &name) != shard {
-            continue;
-        }
+/// Registers one job through the router and gives it `prefixes` lease
+/// roots. Untracked registrations go round-robin over the shards, so
+/// `n` calls on an `n`-shard router seed one job per shard.
+fn seed_job(sc: &ShardedController, prefixes: usize) -> (JobId, Vec<String>) {
+    let job = register(sc, "load");
+    let names: Vec<String> = (0..prefixes).map(|k| format!("r{k}")).collect();
+    for name in &names {
         sc.dispatch(ControlRequest::CreatePrefix {
             job,
             name: name.clone(),
@@ -69,9 +65,8 @@ fn seed_shard(sc: &ShardedController, job: JobId, shard: u32, per_shard: usize) 
             initial_blocks: 0,
         })
         .unwrap();
-        names.push(name);
     }
-    names
+    (job, names)
 }
 
 /// The paper's control-plane mix (Fig. 12): mostly lease renewals plus
@@ -100,16 +95,18 @@ fn measure_scaling(window: Duration) -> Vec<ScalePoint> {
     let mut points = Vec::new();
     for shards in [1usize, 2, 4, 8] {
         let sc = router(shards as u32);
-        let job = register(&sc, "load");
-        let slices: Vec<Vec<String>> = (0..shards as u32)
-            .map(|s| seed_shard(&sc, job, s, 4))
-            .collect();
+        let slices: Vec<(JobId, Vec<String>)> = (0..shards).map(|_| seed_job(&sc, 4)).collect();
         let mut per_shard = Vec::with_capacity(shards);
-        for names in &slices {
+        for (job, names) in &slices {
+            assert_eq!(
+                sc.shard_map().shard_of_job(*job) as usize,
+                per_shard.len(),
+                "one job per shard"
+            );
             let mut ops = 0u64;
             let t0 = Instant::now();
             while t0.elapsed() < window {
-                one_op(&sc, job, names, ops);
+                one_op(&sc, *job, names, ops);
                 ops += 1;
             }
             per_shard.push(ops as f64 / t0.elapsed().as_secs_f64());

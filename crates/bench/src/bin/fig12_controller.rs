@@ -1,7 +1,7 @@
 //! Fig. 12 — controller performance: (a) throughput-vs-latency for one
 //! controller shard under increasing closed-loop load; (b) throughput
 //! scaling across shared-nothing shards (the paper's multi-core
-//! scaling; with hash-partitioned hierarchies, shards never contend).
+//! scaling; with hierarchies partitioned by job, shards never contend).
 //! Also prints the §6.4 metadata storage-overhead figures.
 //!
 //! Run: `cargo run --release -p jiffy-bench --bin fig12_controller`

@@ -270,38 +270,18 @@ impl JobClient {
     }
 
     /// Creates the whole address hierarchy from an execution DAG (paper
-    /// `createHierarchy`).
+    /// `createHierarchy`) in one atomic request: the job's shard holds
+    /// its whole hierarchy, whatever the DAG's shape.
     ///
     /// # Errors
     ///
     /// Controller-side validation; nodes must be topologically ordered.
-    ///
-    /// Against a sharded control plane the DAG's root groups may hash to
-    /// different shards; the router then answers
-    /// [`ControlResponse::CrossShard`] and this method orchestrates the
-    /// creation client-side, re-issuing each spec individually in
-    /// topological order (each lands on its own root's shard).
-    /// Non-atomic: a failure mid-way leaves earlier nodes created, like
-    /// a partially-executed sequence of `create_addr_prefix` calls.
     pub fn create_hierarchy(&self, nodes: Vec<DagNodeSpec>) -> Result<()> {
-        match self.client.control(ControlRequest::CreateHierarchy {
+        self.client.control(ControlRequest::CreateHierarchy {
             job: self.job,
-            nodes: nodes.clone(),
-        })? {
-            ControlResponse::CrossShard { .. } => {
-                for spec in nodes {
-                    self.client.control(ControlRequest::CreatePrefix {
-                        job: self.job,
-                        name: spec.name,
-                        parents: spec.parents,
-                        ds: spec.ds,
-                        initial_blocks: spec.initial_blocks,
-                    })?;
-                }
-                Ok(())
-            }
-            _ => Ok(()),
-        }
+            nodes,
+        })?;
+        Ok(())
     }
 
     /// Adds an extra parent edge, giving a prefix an additional address.

@@ -378,10 +378,6 @@ type UnderloadOutcome = (
     Option<BlockLocation>,
 );
 
-/// One row per registered job: `(job, job name, [(node, parents)])`.
-/// What the shard router consumes to rebuild its root-component table.
-pub(crate) type HierarchyEdges = Vec<(JobId, String, Vec<(String, Vec<String>)>)>;
-
 pub(crate) struct CtrlState {
     pub(crate) jobs: HashMap<JobId, JobEntry>,
     pub(crate) freelist: FreeList,
@@ -526,11 +522,9 @@ impl Controller {
     /// [`ShardIdentity::solo`] this is exactly [`Controller::new`].
     ///
     /// Each shard journals under its own persistent-tier prefix and
-    /// mints server/block ids in its own residue class (`id ≡ index mod
-    /// count`) so shards never collide and block/server ids route back
-    /// to their owning shard by `raw % count`. Job ids are minted only
-    /// by shard 0 and adopted by the rest (see
-    /// [`ControlRequest::AdoptJob`]).
+    /// mints job, server and block ids in its own residue class (`id ≡
+    /// index mod count`), so shards never collide and every id routes
+    /// back to its owning shard by `raw % count`.
     ///
     /// # Errors
     ///
@@ -553,6 +547,7 @@ impl Controller {
         let tenants = TenantDirectory::new(cfg.qos.clone());
         let freelist = FreeList::new();
         freelist.set_id_stride(u64::from(shard.index), u64::from(shard.count));
+        let job_ids = IdGen::strided(u64::from(shard.index), u64::from(shard.count));
         Ok(Arc::new(Self {
             cfg,
             clock,
@@ -570,7 +565,7 @@ impl Controller {
             }),
             dataplane,
             persistent,
-            job_ids: IdGen::new(),
+            job_ids,
             elastic: Mutex::new(ElasticHooks::default()),
             shard,
         }))
@@ -647,6 +642,8 @@ impl Controller {
         // stride re-aligns defensively either way).
         rec.freelist
             .set_id_stride(u64::from(shard.index), u64::from(shard.count));
+        let job_ids = IdGen::starting_at(rec.next_job_id);
+        job_ids.set_stride(u64::from(shard.index), u64::from(shard.count));
         // Clients may hold cache entries from before the crash; one bump
         // forces them back through resolve on their next access.
         shard.epoch.fetch_add(1, Ordering::SeqCst);
@@ -668,34 +665,10 @@ impl Controller {
             }),
             dataplane,
             persistent,
-            job_ids: IdGen::starting_at(rec.next_job_id),
+            job_ids,
             elastic: Mutex::new(ElasticHooks::default()),
             shard,
         }))
-    }
-
-    /// Enumerates `(job, job name, [(node, parents)])` for every
-    /// registered job. The shard router rebuilds its root-component
-    /// table from this after constructing or restarting shards.
-    pub(crate) fn hierarchy_edges(&self) -> HierarchyEdges {
-        let st = self.state.lock();
-        st.jobs
-            .iter()
-            .map(|(job, entry)| {
-                let nodes = entry
-                    .hierarchy
-                    .names()
-                    .into_iter()
-                    .filter_map(|name| {
-                        entry
-                            .hierarchy
-                            .get(&name)
-                            .map(|node| (name.clone(), node.parents.clone()))
-                    })
-                    .collect();
-                (*job, entry.name.clone(), nodes)
-            })
-            .collect()
     }
 
     /// The configuration this controller runs with.
@@ -799,7 +772,15 @@ impl Controller {
         let st = self.state.lock();
         let mut out = Vec::new();
         let mut seen_heads: HashSet<BlockId> = HashSet::new();
+        let count = u64::from(self.shard.count);
         for (job, entry) in &st.jobs {
+            // The router sends a job to shard `job % count` only.
+            if job.raw() % count != u64::from(self.shard.index) {
+                out.push(format!(
+                    "{job} held by shard {} of {count}, outside its residue class",
+                    self.shard.index
+                ));
+            }
             for name in entry.hierarchy.names() {
                 let Some(node) = entry.hierarchy.get(&name) else {
                     continue;
@@ -1165,36 +1146,6 @@ impl Controller {
                     ops_per_sec,
                     bytes_per_sec,
                 }];
-                self.commit(st, rid, ops, ControlResponse::Ack)
-            }
-            ControlRequest::AdoptJob { job, name } => {
-                // A sibling shard (shard 0) minted this job id; record
-                // it here so path operations routed to this shard
-                // resolve the job. Idempotent: re-adoption of a job we
-                // already know is an ack without a journal record.
-                let ops = match st.jobs.get(&job) {
-                    Some(existing) if existing.name == name => Vec::new(),
-                    Some(existing) => {
-                        return Err(JiffyError::Internal(format!(
-                            "adopt {job}: registered as {:?}, not {name:?}",
-                            existing.name
-                        )));
-                    }
-                    None => {
-                        st.jobs.insert(
-                            job,
-                            JobEntry {
-                                name: name.clone(),
-                                hierarchy: AddressHierarchy::new(),
-                                tenant,
-                            },
-                        );
-                        // Never mint below an adopted id, even on the
-                        // (job-minting) shard 0 after a replayed adopt.
-                        self.job_ids.bump_to(job.raw() + 1);
-                        vec![JournalOp::JobRegistered { job, name, tenant }]
-                    }
-                };
                 self.commit(st, rid, ops, ControlResponse::Ack)
             }
         }
@@ -2787,6 +2738,40 @@ mod tests {
         // A fresh rid is a fresh request.
         assert_ne!(register_as(&rec, rid + 2).unwrap(), first);
         assert_eq!(rec.stats().jobs, 3);
+    }
+
+    #[test]
+    fn shards_mint_job_ids_in_their_class_and_flag_foreign_ones() {
+        let (_clock, shared) = ManualClock::shared();
+        let store = Arc::new(MemObjectStore::new());
+        let shard = |index, count| ShardIdentity::member(index, count, Arc::new(AtomicU64::new(0)));
+        // Shard 1 of 3 mints 1, 4, ... and holds only its own class.
+        let ctrl = Controller::new_sharded(
+            JiffyConfig::for_testing(),
+            shared.clone(),
+            Arc::new(NoopDataPlane),
+            store.clone(),
+            shard(1, 3),
+        )
+        .unwrap();
+        let jobs = [register(&ctrl), register(&ctrl)];
+        assert_eq!(jobs, [JobId(1), JobId(4)]);
+        assert!(ctrl.check_invariants().is_empty());
+        // Recovered as shard 1 of 2 (same journal prefix, another
+        // layout): job 4 belongs to shard 0 now and is flagged, and new
+        // ids resume in the new class.
+        let rec = Controller::recover_sharded(
+            JiffyConfig::for_testing(),
+            shared,
+            Arc::new(NoopDataPlane),
+            store,
+            shard(1, 2),
+        )
+        .unwrap();
+        let violations = rec.check_invariants();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("job-4"), "{violations:?}");
+        assert_eq!(register(&rec), JobId(5));
     }
 
     #[test]

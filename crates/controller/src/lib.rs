@@ -19,7 +19,7 @@
 //! - [`journal`] — the write-ahead metadata journal, snapshots, and
 //!   deterministic replay that make the controller crash-recoverable
 //!   (DESIGN.md §11).
-//! - [`sharding`] — hash-partitioning jobs across multiple controller
+//! - [`sharding`] — partitioning jobs (`job % N`) across multiple controller
 //!   shards (multi-core / multi-server scaling, Fig. 12b).
 //!
 //! [`Controller`]: controller::Controller

@@ -1,20 +1,17 @@
 //! Controller sharding (paper §4.2.1, Fig. 12b; DESIGN.md §15).
 //!
-//! Jiffy scales its control plane by hash-partitioning the hierarchy
-//! namespace across shards — the same scheme scales across cores of one
-//! server and across servers. Each shard is a full [`Controller`] with
-//! its own free list, journal prefix and snapshot stream; shards share
-//! nothing but the view epoch, which is exactly why the paper observes
-//! near-linear throughput scaling.
+//! Jiffy scales its control plane by partitioning independent address
+//! hierarchies across shards — the same scheme scales across cores of
+//! one server and across servers. Each shard is a full [`Controller`]
+//! with its own free list, journal prefix and snapshot stream; shards
+//! share nothing but the view epoch, which is exactly why the paper
+//! observes near-linear throughput scaling.
 //!
-//! Partitioning is by *hierarchy root*: a path's first component (and
-//! therefore every node reachable from it — parents and children must
-//! co-hash, enforced at create time) lives on
-//! `fnv(job, root) % num_shards`. Bare node names below a root are
-//! routed through a router-maintained root table, rebuilt from shard
-//! state after a restart. Server and block ids are minted strided
-//! (shard `i` issues ids ≡ `i` mod N), so data-plane reports route by
-//! `id % N` with no table at all.
+//! Partitioning is by *job*: shard `i` mints job, server and block ids
+//! ≡ `i` mod N, and every request routes by `id % N`. A job's whole
+//! hierarchy — any DAG shape, every lease and block of it — lives on
+//! the job's shard, so the router keeps no table and N = 1 runs the
+//! same code path as N > 1.
 
 use std::collections::HashMap;
 
@@ -25,8 +22,7 @@ use jiffy_common::clock::SharedClock;
 use jiffy_common::{JiffyConfig, JiffyError, JobId, Result, TenantId};
 use jiffy_persistent::ObjectStore;
 use jiffy_proto::{
-    ControlRequest, ControlResponse, DagNodeSpec, Envelope, ShardMap, TenantStatsEntry,
-    INTERNAL_RID,
+    ControlRequest, ControlResponse, Envelope, ShardMap, TenantStatsEntry, INTERNAL_RID,
 };
 use jiffy_rpc::{Service, SessionHandle};
 
@@ -41,7 +37,7 @@ struct RebuildCtx {
 }
 
 /// Routes control requests across independent [`Controller`] shards by
-/// hierarchy-root hash. A crashed shard's slot goes dark (requests
+/// job, server or block id. A crashed shard's slot goes dark (requests
 /// routed to it fail with [`JiffyError::Unavailable`], which clients
 /// retry) until [`ShardedController::restart_shard`] recovers it from
 /// its journal prefix.
@@ -49,23 +45,18 @@ pub struct ShardedController {
     /// One slot per shard; `None` while the shard is crashed.
     slots: Vec<RwLock<Option<Arc<Controller>>>>,
     map: ShardMap,
-    /// `(job, node name) → root component name`, so bare-name requests
-    /// (renewals, resolves) route to the shard owning the node's root.
-    /// Soft state: updated on successful creates/removes, re-derived
-    /// from shard state on restart.
-    roots: RwLock<HashMap<(u64, String), String>>,
     /// The control plane's one view epoch: shared by every shard,
     /// stamped on response envelopes, and — living here rather than in
     /// any shard — never regressed by a restart.
     epoch: Arc<AtomicU64>,
-    /// Round-robin cursor for server placement: each joining server is
-    /// owned by exactly one shard, and round-robin keeps per-shard
-    /// capacity balanced (an address hash could starve a shard of
-    /// servers entirely). The owning shard mints the server's id from
-    /// its strided range, so all later by-id routing lands back on it
+    /// Round-robin cursor for untracked job and server placement: each
+    /// new job or server is owned by exactly one shard, and round-robin
+    /// keeps shards balanced (an address hash could starve a shard of
+    /// servers entirely). The owning shard mints the id from its
+    /// strided range, so all later by-id routing lands back on it
     /// without consulting this cursor. Soft state: a restart resumes it
-    /// at the recovered member count.
-    joins: AtomicU64,
+    /// at the recovered servers and jobs.
+    placements: AtomicU64,
     rebuild: RebuildCtx,
 }
 
@@ -102,9 +93,8 @@ impl ShardedController {
         Ok(Self {
             slots,
             map: ShardMap { num_shards },
-            roots: RwLock::new(HashMap::new()),
             epoch,
-            joins: AtomicU64::new(0),
+            placements: AtomicU64::new(0),
             rebuild: RebuildCtx {
                 cfg,
                 clock,
@@ -119,7 +109,7 @@ impl ShardedController {
         self.slots.len()
     }
 
-    /// The static shard map clients use for cross-shard orchestration.
+    /// The static shard map requests are routed by.
     pub fn shard_map(&self) -> ShardMap {
         self.map
     }
@@ -161,12 +151,11 @@ impl ShardedController {
         self.slots[idx].read().is_some()
     }
 
-    /// Forgets the router's soft state (learned roots, join cursor), as
-    /// a crash of the whole control plane does; [`Self::restart_shard`]
-    /// re-derives both from what the shards recover.
+    /// Forgets the router's soft state (the placement cursor), as a crash
+    /// of the whole control plane does; [`Self::restart_shard`]
+    /// re-derives it from what the shards recover.
     pub fn forget_soft_state(&self) {
-        self.roots.write().clear();
-        self.joins.store(0, Ordering::Relaxed);
+        self.placements.store(0, Ordering::Relaxed);
     }
 
     /// Recovers shard `i` from its journal prefix and brings its slot
@@ -184,72 +173,23 @@ impl ShardedController {
             ctx.persistent.clone(),
             ShardIdentity::member(idx as u32, self.map.num_shards, self.epoch.clone()),
         )?;
-        self.absorb_roots_of(&shard);
         *self.slots[idx].write() = Some(shard.clone());
-        // Round-robin stood at one past the last join: resume it at the
-        // live member count across the shards that are up.
+        // Round-robin stood at one past the last placement: resume it
+        // at the live servers and jobs across the shards that are up.
         let live: Vec<Arc<Controller>> = self
             .slots
             .iter()
             .filter_map(|slot| slot.read().clone())
             .collect();
-        let members: u64 = live.iter().map(|s| s.stats().servers).sum();
-        self.joins.store(members, Ordering::Relaxed);
+        let placed: u64 = live
+            .iter()
+            .map(|s| {
+                let st = s.stats();
+                st.servers + st.jobs
+            })
+            .sum();
+        self.placements.store(placed, Ordering::Relaxed);
         Ok(shard)
-    }
-
-    /// Merges `(job, node) → root` entries recovered from one shard's
-    /// hierarchy state into the routing table. Roots are computed by
-    /// chasing parent edges to a parentless node (iterated to a fixed
-    /// point because the node list is unordered).
-    fn absorb_roots_of(&self, ctrl: &Controller) {
-        let mut table = self.roots.write();
-        for (job, _name, nodes) in ctrl.hierarchy_edges() {
-            let mut local: HashMap<String, String> = HashMap::new();
-            for (node, parents) in &nodes {
-                if parents.is_empty() {
-                    local.insert(node.clone(), node.clone());
-                }
-            }
-            let mut changed = true;
-            while changed {
-                changed = false;
-                for (node, parents) in &nodes {
-                    if local.contains_key(node) {
-                        continue;
-                    }
-                    if let Some(first) = parents.first() {
-                        if let Some(root) = local.get(first).cloned() {
-                            local.insert(node.clone(), root);
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            for (node, root) in local {
-                table.insert((job.raw(), node), root);
-            }
-        }
-    }
-
-    /// The shard owning the node (or dotted path) `name` of `job`.
-    pub fn route_path(&self, job: JobId, name: &str) -> u32 {
-        let first = ShardMap::root_component(name);
-        let roots = self.roots.read();
-        let root = roots
-            .get(&(job.raw(), first.to_string()))
-            .map_or(first, String::as_str);
-        self.map.shard_of_root(job, root)
-    }
-
-    /// The root recorded for `node` of `job`, defaulting to the node
-    /// itself (a parentless node is its own root).
-    fn root_of(&self, job: JobId, node: &str) -> String {
-        self.roots
-            .read()
-            .get(&(job.raw(), node.to_string()))
-            .cloned()
-            .unwrap_or_else(|| node.to_string())
     }
 
     /// Forwards request `rid` to shard `idx`, failing retryably if the
@@ -283,8 +223,7 @@ impl ShardedController {
     /// # Errors
     ///
     /// [`JiffyError::Unavailable`] when the owning shard is crashed
-    /// (retryable); cross-shard structural errors; whatever the owning
-    /// shard returns.
+    /// (retryable); whatever the owning shard returns.
     pub fn dispatch_as(&self, req: ControlRequest, tenant: TenantId) -> Result<ControlResponse> {
         self.route(req, tenant, INTERNAL_RID)
     }
@@ -294,39 +233,10 @@ impl ShardedController {
     fn route(&self, req: ControlRequest, tenant: TenantId, rid: u64) -> Result<ControlResponse> {
         let n = self.map.num_shards;
         match req {
-            // Jobs are minted by shard 0 (the only shard whose job-id
-            // generator advances) and adopted everywhere else so any
-            // shard can own hierarchy roots of any job.
-            ControlRequest::RegisterJob { ref name } => {
-                let job_name = name.clone();
-                let resp = self.dispatch_journaled(0, req, tenant, rid)?;
-                if let ControlResponse::JobRegistered { job } = resp {
-                    for i in 1..n {
-                        self.dispatch_journaled(
-                            i,
-                            ControlRequest::AdoptJob {
-                                job,
-                                name: job_name.clone(),
-                            },
-                            tenant,
-                            rid,
-                        )?;
-                    }
-                }
-                Ok(resp)
-            }
-            ControlRequest::AdoptJob { .. } => {
-                for i in 0..n {
-                    self.dispatch_journaled(i, req.clone(), tenant, rid)?;
-                }
-                Ok(ControlResponse::Ack)
-            }
-            ControlRequest::DeregisterJob { job } => {
-                for i in 0..n {
-                    self.dispatch_journaled(i, req.clone(), tenant, rid)?;
-                }
-                self.roots.write().retain(|(j, _), _| *j != job.raw());
-                Ok(ControlResponse::Ack)
+            // A new job or server has no id yet: place it, and its
+            // strided id pins it to that shard from then on.
+            ControlRequest::RegisterJob { .. } | ControlRequest::JoinServer { .. } => {
+                self.dispatch_journaled(self.placement(rid), req, tenant, rid)
             }
             ControlRequest::SetTenantShare { .. } => {
                 let mut resp = ControlResponse::Ack;
@@ -335,78 +245,8 @@ impl ShardedController {
                 }
                 Ok(resp)
             }
-            ControlRequest::CreatePrefix {
-                job,
-                ref name,
-                ref parents,
-                ..
-            } => {
-                let (shard, root) = self.placement_of(job, name, parents)?;
-                let node = name.clone();
-                let resp = self.dispatch_journaled(shard, req, tenant, rid)?;
-                self.roots.write().insert((job.raw(), node), root);
-                Ok(resp)
-            }
-            ControlRequest::AddParent {
-                job,
-                ref name,
-                ref parent,
-            } => {
-                // An extra edge may only join nodes whose roots co-hash;
-                // otherwise descendants of `name` would route ambiguously.
-                let child_shard = self.route_path(job, name);
-                let parent_shard = self.route_path(job, parent);
-                if child_shard != parent_shard {
-                    return Err(JiffyError::Internal(format!(
-                        "cross-shard parent edge {parent} -> {name}: shards \
-                         {parent_shard} vs {child_shard} (roots must co-hash)"
-                    )));
-                }
-                self.dispatch_journaled(child_shard, req, tenant, rid)
-            }
-            ControlRequest::CreateHierarchy { job, ref nodes } => {
-                match self.hierarchy_placement(job, nodes)? {
-                    Ok(shard) => {
-                        let placed: Vec<(String, String)> = self.hierarchy_roots(job, nodes);
-                        let resp = self.dispatch_journaled(shard, req, tenant, rid)?;
-                        let mut table = self.roots.write();
-                        for (node, root) in placed {
-                            table.insert((job.raw(), node), root);
-                        }
-                        Ok(resp)
-                    }
-                    // The DAG spans shards: hand the static map back and
-                    // let the client re-issue per-node creates in order
-                    // (non-atomic, like the paper's client-driven
-                    // repartitioning).
-                    Err(owner_shard) => Ok(ControlResponse::CrossShard {
-                        owner_shard,
-                        map: self.map,
-                    }),
-                }
-            }
-            // The root entry outlives the node, so a retry routes back.
-            ControlRequest::RemovePrefix { job, ref name } => {
-                let shard = self.route_path(job, name);
-                self.dispatch_journaled(shard, req, tenant, rid)
-            }
             // Membership and data-plane reports route by id residue
-            // class (shards mint strided server/block ids); a joining
-            // server has no id yet, so placement is round-robin over
-            // the live shards — its strided id then pins it there. A
-            // client-stamped join goes by rid, so its retry does too.
-            ControlRequest::JoinServer { .. } => {
-                let shard = if is_client_rid(rid) {
-                    (rid % u64::from(n)) as u32
-                } else {
-                    let start = (self.joins.fetch_add(1, Ordering::Relaxed) % u64::from(n)) as u32;
-                    (0..n)
-                        .map(|off| (start + off) % n)
-                        .find(|&s| self.slots[s as usize].read().is_some())
-                        .unwrap_or(start)
-                };
-                self.dispatch_journaled(shard, req, tenant, rid)
-            }
+            // class (shards mint strided server/block ids).
             ControlRequest::LeaveServer { server } | ControlRequest::Heartbeat { server, .. } => {
                 self.dispatch_journaled(self.map.shard_of_server(server), req, tenant, rid)
             }
@@ -443,9 +283,6 @@ impl ShardedController {
                     agg.scale_ups += st.scale_ups;
                     agg.scale_downs += st.scale_downs;
                 }
-                // Every shard counts each job (shard 0 mints, the rest
-                // adopt); report the cluster-wide count once.
-                agg.jobs /= u64::from(n);
                 Ok(ControlResponse::Stats(agg))
             }
             ControlRequest::ListServers => {
@@ -462,21 +299,6 @@ impl ShardedController {
                 }
                 servers.sort_by_key(|s| s.server.raw());
                 Ok(ControlResponse::Servers(servers))
-            }
-            ControlRequest::ListPrefixes { .. } => {
-                let mut names = Vec::new();
-                for i in 0..n {
-                    match self.dispatch_journaled(i, req.clone(), tenant, rid)? {
-                        ControlResponse::Prefixes(mut p) => names.append(&mut p),
-                        other => {
-                            return Err(JiffyError::Internal(format!(
-                                "shard {i} returned {other:?} for ListPrefixes"
-                            )))
-                        }
-                    }
-                }
-                names.sort();
-                Ok(ControlResponse::Prefixes(names))
             }
             ControlRequest::TenantStats => {
                 let mut by_tenant: HashMap<u64, TenantStatsEntry> = HashMap::new();
@@ -518,89 +340,48 @@ impl ShardedController {
                 entries.sort_by_key(|e| e.tenant.raw());
                 Ok(ControlResponse::TenantStatsReport(entries))
             }
-            // Remaining requests (resolve, renew, lease queries, flush,
-            // load) are node-scoped: forward to the root's shard, which
-            // journals its own mutations before acking.
+            // Everything else is job-scoped: the job's shard holds its
+            // whole hierarchy and journals its own mutations.
             other => {
-                let (job, name) = path_scope(&other).ok_or_else(|| {
+                let job = job_scope(&other).ok_or_else(|| {
                     JiffyError::Internal(format!("request has no shard scope: {other:?}"))
                 })?;
-                let shard = self.route_path(job, &name);
-                self.dispatch_journaled(shard, other, tenant, rid)
+                self.dispatch_journaled(self.map.shard_of_job(job), other, tenant, rid)
             }
         }
     }
 
-    /// Where a new node must live: with its parents (all of whose roots
-    /// must co-hash), or — parentless — on its own hash. Returns the
-    /// `(shard, root)` to record.
-    fn placement_of(&self, job: JobId, name: &str, parents: &[String]) -> Result<(u32, String)> {
-        let Some(first) = parents.first() else {
-            return Ok((self.map.shard_of_root(job, name), name.to_string()));
-        };
-        let root = self.root_of(job, first);
-        let shard = self.map.shard_of_root(job, &root);
-        for p in &parents[1..] {
-            let p_shard = self.map.shard_of_root(job, &self.root_of(job, p));
-            if p_shard != shard {
-                return Err(JiffyError::Internal(format!(
-                    "parents of {name} live on different shards ({first} on \
-                     {shard}, {p} on {p_shard}); re-root the DAG or co-hash"
-                )));
-            }
+    /// The shard a new job or server goes to. A client-stamped request
+    /// goes by `rid`, so its retry reaches the replay window holding the
+    /// first answer; untracked ones go round-robin over the live shards.
+    fn placement(&self, rid: u64) -> u32 {
+        let n = self.map.num_shards;
+        if is_client_rid(rid) {
+            return (rid % u64::from(n)) as u32;
         }
-        Ok((shard, root))
-    }
-
-    /// Which shard owns an entire DAG spec, or `Err(owner_of_first)` if
-    /// it spans shards (the outer `Result` carries structural errors).
-    fn hierarchy_placement(
-        &self,
-        job: JobId,
-        nodes: &[DagNodeSpec],
-    ) -> Result<std::result::Result<u32, u32>> {
-        let mut first_shard = None;
-        for (_node, root) in self.hierarchy_roots(job, nodes) {
-            let shard = self.map.shard_of_root(job, &root);
-            match first_shard {
-                None => first_shard = Some(shard),
-                Some(s) if s != shard => return Ok(Err(s)),
-                Some(_) => {}
-            }
-        }
-        Ok(Ok(first_shard.unwrap_or(0)))
-    }
-
-    /// `(node, root)` for every spec in a DAG, resolving parents through
-    /// earlier specs (the list is topologically ordered) and, for
-    /// parents created earlier, through the routing table.
-    fn hierarchy_roots(&self, job: JobId, nodes: &[DagNodeSpec]) -> Vec<(String, String)> {
-        let mut local: HashMap<String, String> = HashMap::new();
-        let mut out = Vec::with_capacity(nodes.len());
-        for spec in nodes {
-            let root = match spec.parents.first() {
-                None => spec.name.clone(),
-                Some(p) => local
-                    .get(p)
-                    .cloned()
-                    .unwrap_or_else(|| self.root_of(job, p)),
-            };
-            local.insert(spec.name.clone(), root.clone());
-            out.push((spec.name.clone(), root));
-        }
-        out
+        let start = (self.placements.fetch_add(1, Ordering::Relaxed) % u64::from(n)) as u32;
+        (0..n)
+            .map(|off| (start + off) % n)
+            .find(|&s| self.slots[s as usize].read().is_some())
+            .unwrap_or(start)
     }
 }
 
-/// Extracts the `(job, node-or-path)` scope of a node-scoped request.
-fn path_scope(req: &ControlRequest) -> Option<(JobId, String)> {
+/// The job a job-scoped request belongs to.
+fn job_scope(req: &ControlRequest) -> Option<JobId> {
     use ControlRequest::*;
     match req {
-        ResolvePrefix { job, name }
-        | RenewLease { job, name }
-        | GetLeaseDuration { job, name }
-        | FlushPrefix { job, name, .. }
-        | LoadPrefix { job, name, .. } => Some((*job, name.clone())),
+        DeregisterJob { job }
+        | CreatePrefix { job, .. }
+        | AddParent { job, .. }
+        | CreateHierarchy { job, .. }
+        | RemovePrefix { job, .. }
+        | ResolvePrefix { job, .. }
+        | RenewLease { job, .. }
+        | GetLeaseDuration { job, .. }
+        | FlushPrefix { job, .. }
+        | LoadPrefix { job, .. }
+        | ListPrefixes { job } => Some(*job),
         _ => None,
     }
 }
@@ -633,6 +414,7 @@ mod tests {
     use crate::controller::NoopDataPlane;
     use jiffy_common::clock::SystemClock;
     use jiffy_persistent::MemObjectStore;
+    use jiffy_proto::DagNodeSpec;
 
     fn build(n: u32) -> ShardedController {
         ShardedController::build(
@@ -665,60 +447,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn root_routing_is_deterministic_and_renames_follow_roots() {
-        let sc = build(4);
-        let job = register(&sc, "j");
-        for i in 0..8 {
-            sc.dispatch(ControlRequest::CreatePrefix {
-                job,
-                name: format!("t{i}"),
-                parents: vec![],
-                ds: None,
-                initial_blocks: 0,
-            })
-            .unwrap();
-        }
-        // A child routes to its parent's shard even though its own name
-        // would hash elsewhere.
+    fn create(sc: &ShardedController, job: JobId, name: &str, parents: &[&str]) -> Result<()> {
         sc.dispatch(ControlRequest::CreatePrefix {
             job,
-            name: "child".into(),
-            parents: vec!["t3".into()],
+            name: name.into(),
+            parents: parents.iter().map(ToString::to_string).collect(),
             ds: None,
             initial_blocks: 0,
         })
-        .unwrap();
-        assert_eq!(sc.route_path(job, "child"), sc.route_path(job, "t3"));
-        // Bare-name resolve of the child succeeds (lands on t3's shard).
-        match sc
-            .dispatch(ControlRequest::ResolvePrefix {
-                job,
-                name: "t3.child".into(),
-            })
-            .unwrap()
-        {
-            ControlResponse::Resolved(_) => {}
-            other => panic!("{other:?}"),
+        .map(|_| ())
+    }
+
+    #[test]
+    fn job_routing_sends_a_whole_hierarchy_to_the_jobs_shard() {
+        let sc = build(4);
+        // Untracked registrations go round-robin: one job per shard.
+        let jobs: Vec<JobId> = (0..4).map(|i| register(&sc, &format!("j{i}"))).collect();
+        for (i, job) in jobs.iter().enumerate() {
+            assert_eq!(sc.shard_map().shard_of_job(*job), i as u32);
+            for k in 0..8 {
+                create(&sc, *job, &format!("t{k}"), &[]).unwrap();
+            }
+            create(&sc, *job, "child", &["t3"]).unwrap();
+            // A dotted path resolves on the job's shard.
+            match sc
+                .dispatch(ControlRequest::ResolvePrefix {
+                    job: *job,
+                    name: "t3.child".into(),
+                })
+                .unwrap()
+            {
+                ControlResponse::Resolved(_) => {}
+                other => panic!("{other:?}"),
+            }
+        }
+        for i in 0..4 {
+            assert_eq!(sc.shard(i).stats().prefixes, 9, "shard {i}");
+            assert!(sc.shard(i).check_invariants().is_empty());
         }
     }
 
     #[test]
-    fn jobs_are_adopted_by_every_shard() {
+    fn a_job_lives_on_exactly_one_shard() {
         let sc = build(3);
-        let job = register(&sc, "everywhere");
+        let job = register(&sc, "one-home");
+        let owner = sc.shard_map().shard_of_job(job) as usize;
         for i in 0..3 {
-            let edges = sc.shard(i).hierarchy_edges();
-            assert!(
-                edges
-                    .iter()
-                    .any(|(j, name, _)| *j == job && name == "everywhere"),
-                "shard {i} did not adopt the job"
-            );
+            let holds = sc
+                .shard(i)
+                .state_mirror()
+                .jobs
+                .iter()
+                .any(|j| j.job == job.raw() && j.name == "one-home");
+            assert_eq!(holds, i == owner, "shard {i} (owner {owner})");
         }
-        // Stats report the job once, not once per shard.
+        // Stats report the job once.
         match sc.dispatch(ControlRequest::GetStats).unwrap() {
             ControlResponse::Stats(s) => assert_eq!(s.jobs, 1),
+            other => panic!("{other:?}"),
+        }
+        // Deregistration touches the owner only, and leaves no trace.
+        sc.dispatch(ControlRequest::DeregisterJob { job }).unwrap();
+        match sc.dispatch(ControlRequest::GetStats).unwrap() {
+            ControlResponse::Stats(s) => assert_eq!(s.jobs, 0),
             other => panic!("{other:?}"),
         }
     }
@@ -745,81 +536,79 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_hierarchy_returns_the_shard_map() {
+    fn multi_root_hierarchy_is_created_atomically_on_the_jobs_shard() {
         let sc = build(4);
         let job = register(&sc, "dag");
-        // Find two parentless roots that hash to different shards.
-        let mut names = (0..32).map(|i| format!("r{i}"));
-        let a = names.next().unwrap();
-        let b = names
-            .find(|n| sc.map.shard_of_root(job, n) != sc.map.shard_of_root(job, &a))
-            .expect("32 names must span 4 shards");
+        // Two roots and a fan-in, in one atomic request.
+        let spec = |name: &str, parents: &[&str]| DagNodeSpec {
+            name: name.into(),
+            parents: parents.iter().map(ToString::to_string).collect(),
+            ds: None,
+            initial_blocks: 0,
+        };
         let nodes = vec![
-            DagNodeSpec {
-                name: a,
-                parents: vec![],
-                ds: None,
-                initial_blocks: 0,
-            },
-            DagNodeSpec {
-                name: b,
-                parents: vec![],
-                ds: None,
-                initial_blocks: 0,
-            },
+            spec("r0", &[]),
+            spec("r1", &[]),
+            spec("join", &["r0", "r1"]),
         ];
         match sc
             .dispatch(ControlRequest::CreateHierarchy { job, nodes })
             .unwrap()
         {
-            ControlResponse::CrossShard { map, .. } => {
-                assert_eq!(map.num_shards, 4);
+            ControlResponse::Ack => {}
+            other => panic!("{other:?}"),
+        }
+        let owner = sc.shard_map().shard_of_job(job) as usize;
+        assert_eq!(sc.shard(owner).stats().prefixes, 3);
+        match sc.dispatch(ControlRequest::RenewLease {
+            job,
+            name: "r0".into(),
+        }) {
+            Ok(ControlResponse::LeaseRenewed { renewed, .. }) => {
+                assert!(renewed.contains(&"join".to_string()), "{renewed:?}");
             }
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
-    fn cross_shard_parent_edge_is_rejected() {
+    fn cross_root_parent_edges_stay_on_the_jobs_shard() {
         let sc = build(4);
-        let job = register(&sc, "j");
-        let mut names = (0..32).map(|i| format!("r{i}"));
-        let a = names.next().unwrap();
-        let b = names
-            .find(|n| sc.map.shard_of_root(job, n) != sc.map.shard_of_root(job, &a))
-            .unwrap();
-        for name in [&a, &b] {
-            sc.dispatch(ControlRequest::CreatePrefix {
-                job,
-                name: name.clone(),
-                parents: vec![],
-                ds: None,
-                initial_blocks: 0,
-            })
-            .unwrap();
+        let job = register(&sc, "dag");
+        // Per-node creates and extra edges across roots land on the
+        // job's shard.
+        create(&sc, job, "r0", &[]).unwrap();
+        create(&sc, job, "a", &[]).unwrap();
+        create(&sc, job, "b", &[]).unwrap();
+        create(&sc, job, "kid", &["a", "b"]).unwrap();
+        sc.dispatch(ControlRequest::AddParent {
+            job,
+            name: "kid".into(),
+            parent: "r0".into(),
+        })
+        .unwrap();
+        let owner = sc.shard_map().shard_of_job(job) as usize;
+        assert_eq!(sc.shard(owner).stats().prefixes, 4);
+        match sc.dispatch(ControlRequest::RenewLease {
+            job,
+            name: "r0".into(),
+        }) {
+            Ok(ControlResponse::LeaseRenewed { renewed, .. }) => {
+                assert!(renewed.contains(&"kid".to_string()), "{renewed:?}");
+            }
+            other => panic!("{other:?}"),
         }
-        let err = sc
-            .dispatch(ControlRequest::CreatePrefix {
-                job,
-                name: "kid".into(),
-                parents: vec![a, b],
-                ds: None,
-                initial_blocks: 0,
-            })
-            .unwrap_err();
-        assert!(matches!(err, JiffyError::Internal(_)), "{err:?}");
     }
 
     #[test]
     fn crashed_shard_is_unavailable_until_restarted() {
         let sc = build(2);
         join_servers(&sc, 4, 4);
-        let job = register(&sc, "j");
-        // Find a root on shard 1 so we can dark it.
-        let name = (0..16)
-            .map(|i| format!("t{i}"))
-            .find(|n| sc.map.shard_of_root(job, n) == 1)
-            .unwrap();
+        // One job per shard; dark the second one's.
+        let _on_0 = register(&sc, "j0");
+        let job = register(&sc, "j1");
+        assert_eq!(sc.shard_map().shard_of_job(job), 1);
+        let name = "t".to_string();
         sc.dispatch(ControlRequest::CreatePrefix {
             job,
             name: name.clone(),
@@ -850,38 +639,26 @@ mod tests {
     }
 
     #[test]
-    fn restart_recovers_roots_and_epoch_moves_forward() {
+    fn restart_recovers_routing_and_epoch_moves_forward() {
         let sc = build(2);
         join_servers(&sc, 4, 4);
-        let job = register(&sc, "j");
-        let root = (0..16)
-            .map(|i| format!("t{i}"))
-            .find(|n| sc.map.shard_of_root(job, n) == 1)
-            .unwrap();
-        sc.dispatch(ControlRequest::CreatePrefix {
-            job,
-            name: root.clone(),
-            parents: vec![],
-            ds: None,
-            initial_blocks: 0,
-        })
-        .unwrap();
-        sc.dispatch(ControlRequest::CreatePrefix {
-            job,
-            name: "leaf".into(),
-            parents: vec![root.clone()],
-            ds: None,
-            initial_blocks: 0,
-        })
-        .unwrap();
+        let _on_0 = register(&sc, "j0");
+        let job = register(&sc, "j1");
+        assert_eq!(sc.shard_map().shard_of_job(job), 1);
+        create(&sc, job, "root", &[]).unwrap();
+        create(&sc, job, "leaf", &["root"]).unwrap();
         let before = sc.view_epoch();
         sc.crash_shard(1);
         // Wipe the router's soft state to prove restart re-derives it.
         sc.forget_soft_state();
         sc.restart_shard(1).unwrap();
         assert!(sc.view_epoch() > before, "recovery must bump the epoch");
-        assert_eq!(sc.root_of(job, "leaf"), root);
-        assert_eq!(sc.joins.load(Ordering::Relaxed), 4, "cursor resumes");
+        assert_eq!(
+            sc.placements.load(Ordering::Relaxed),
+            6,
+            "cursor resumes past 4 servers and 2 jobs"
+        );
+        assert!(sc.shard(1).check_invariants().is_empty());
         match sc
             .dispatch(ControlRequest::RenewLease {
                 job,
@@ -894,6 +671,11 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        // The recovered shard keeps minting job ids in its own class.
+        let _next_on_0 = register(&sc, "j2");
+        let next = register(&sc, "j3");
+        assert_eq!(sc.shard_map().shard_of_job(next), 1);
+        assert!(next.raw() > job.raw());
     }
 
     #[test]
@@ -922,15 +704,10 @@ mod tests {
             }
         }
         for (i, job) in jobs.iter().enumerate() {
-            sc.shard(i)
-                .dispatch(ControlRequest::CreatePrefix {
-                    job: *job,
-                    name: "t".into(),
-                    parents: vec![],
-                    ds: None,
-                    initial_blocks: 0,
-                })
-                .unwrap();
+            // Each shard mints its jobs in its own residue class, so the
+            // router finds them without being told.
+            assert_eq!(sc.shard_map().shard_of_job(*job), i as u32);
+            create(&sc, *job, "t", &[]).unwrap();
         }
         assert_eq!(sc.shard(0).stats().prefixes, 1);
         assert_eq!(sc.shard(1).stats().prefixes, 1);

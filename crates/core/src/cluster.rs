@@ -508,7 +508,7 @@ impl JiffyCluster {
     /// (in-flight and subsequent requests fail with transport errors
     /// until a restart), then every shard crashes as in
     /// [`Self::crash_controller_shard`], and the router forgets its soft
-    /// state (learned roots, join cursor) — exactly what a process crash
+    /// state (the placement cursor) — exactly what a process crash
     /// loses. The metadata journals in the persistent tier are
     /// untouched; pair with [`Self::restart_controller`].
     pub fn crash_controller(&self) {
@@ -802,12 +802,28 @@ mod tests {
     fn sharded_cluster_serves_traffic_across_shards() {
         let cluster = sharded(4);
         assert_eq!(cluster.controller_shards(), 4);
-        let job = cluster.client().unwrap().register_job("t").unwrap();
-        // Enough distinct roots to land on several shards; every one
-        // must get blocks (round-robin server placement guarantees
-        // each shard owns capacity).
-        let kvs: Vec<_> = (0..8)
-            .map(|i| job.open_kv(&format!("s{i}"), &[], 1).unwrap())
+        let client = cluster.client().unwrap();
+        let map = cluster.sharded_controller().shard_map();
+        // Register jobs until every shard owns one; every job must get
+        // blocks (round-robin server placement guarantees each shard
+        // owns capacity).
+        let mut jobs: Vec<Option<jiffy_client::JobClient>> = (0..4).map(|_| None).collect();
+        for i in 0..64 {
+            if jobs.iter().all(Option::is_some) {
+                break;
+            }
+            let job = client.register_job(&format!("t{i}")).unwrap();
+            let slot = &mut jobs[map.shard_of_job(job.id()) as usize];
+            if slot.is_none() {
+                *slot = Some(job);
+            }
+        }
+        let kvs: Vec<_> = jobs
+            .iter()
+            .map(|job| {
+                let job = job.as_ref().expect("64 jobs span 4 shards");
+                job.open_kv("s", &[], 1).unwrap()
+            })
             .collect();
         for (i, kv) in kvs.iter().enumerate() {
             kv.put(b"k", format!("v{i}").as_bytes()).unwrap();
@@ -825,24 +841,26 @@ mod tests {
     #[test]
     fn shard_crash_and_restart_recovers_its_slice() {
         let cluster = sharded(2);
-        let job = cluster.client().unwrap().register_job("t").unwrap();
-        let sc = cluster.sharded_controller().clone();
-        // One prefix per shard.
-        let mut names = (0..16).map(|i| format!("p{i}"));
-        let a = names.next().unwrap();
-        let b = names
-            .find(|n| sc.route_path(job.id(), n) != sc.route_path(job.id(), &a))
-            .expect("16 names must span 2 shards");
+        let client = cluster.client().unwrap();
+        let map = cluster.sharded_controller().shard_map();
+        // One job per shard.
+        let job = client.register_job("t").unwrap();
+        let other = (0..16)
+            .map(|i| client.register_job(&format!("u{i}")).unwrap())
+            .find(|j| map.shard_of_job(j.id()) != map.shard_of_job(job.id()))
+            .expect("16 jobs must span 2 shards");
+        let a = "a".to_string();
+        let b = "b".to_string();
         let kv_a = job.open_kv(&a, &[], 1).unwrap();
-        let kv_b = job.open_kv(&b, &[], 1).unwrap();
+        let kv_b = other.open_kv(&b, &[], 1).unwrap();
         kv_a.put(b"k", b"a").unwrap();
         kv_b.put(b"k", b"b").unwrap();
 
-        let dark = sc.route_path(job.id(), &a) as usize;
+        let dark = map.shard_of_job(job.id()) as usize;
         cluster.crash_controller_shard(dark);
         assert!(!cluster.controller_shard_is_up(dark));
         // The other shard's control plane still answers.
-        job.resolve(&b).unwrap();
+        other.resolve(&b).unwrap();
         // Data ops to BOTH prefixes keep working: the data path never
         // touches the controller.
         assert_eq!(kv_a.get(b"k").unwrap(), Some(b"a".to_vec()));

@@ -7,15 +7,11 @@
 //! - [`CuckooMap`] — the core table: two hash functions, 4-way set
 //!   associative buckets, breadth-first-search eviction paths, automatic
 //!   doubling when an insert cannot find a path.
-//! - [`ShardedCuckoo`] — a concurrency wrapper that partitions the key
-//!   space over independently locked shards, libcuckoo-style.
 //!
 //! Lookups probe at most two buckets (eight slots) — constant worst-case
 //! read cost, which is what makes cuckoo tables attractive for a memory
 //! server's hot path.
 
 pub mod map;
-pub mod sharded;
 
 pub use map::CuckooMap;
-pub use sharded::ShardedCuckoo;

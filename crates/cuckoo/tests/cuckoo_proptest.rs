@@ -1,9 +1,7 @@
 //! Property tests: [`CuckooMap`] behaves exactly like a model `HashMap`
-//! under arbitrary operation sequences, and [`ShardedCuckoo`] stays
-//! linearizable under concurrent access from multiple threads.
+//! under arbitrary operation sequences.
 
-use jiffy_cuckoo::{CuckooMap, ShardedCuckoo};
-use jiffy_sync::Arc;
+use jiffy_cuckoo::CuckooMap;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -77,61 +75,5 @@ proptest! {
         want.sort_unstable();
         prop_assert_eq!(drained, want);
         prop_assert!(cuckoo.is_empty());
-    }
-
-    #[test]
-    fn sharded_concurrent_access_matches_model(
-        per_thread_ops in proptest::collection::vec(
-            proptest::collection::vec(op_strategy(), 1..400),
-            2..5,
-        ),
-        shards in 1usize..8,
-    ) {
-        // Each thread owns a disjoint slice of the key space (keys are
-        // tagged with the thread index in the high bits), so although the
-        // threads interleave arbitrarily inside the shared map, every
-        // thread's view of *its own* keys must match a sequential
-        // HashMap model — any cross-thread interference (a lost insert,
-        // a remove leaking into another shard, a len torn mid-update)
-        // shows up as a model divergence.
-        let sharded: Arc<ShardedCuckoo<u32, u32>> = Arc::new(ShardedCuckoo::new(shards));
-        let mut joins = Vec::new();
-        for (t, ops) in per_thread_ops.into_iter().enumerate() {
-            let sharded = Arc::clone(&sharded);
-            joins.push(std::thread::spawn(move || {
-                let tag = (t as u32) << 16;
-                let mut model: HashMap<u32, u32> = HashMap::new();
-                for op in ops {
-                    match op {
-                        Op::Insert(k, v) => {
-                            let k = tag | u32::from(k);
-                            assert_eq!(sharded.insert(k, v), model.insert(k, v));
-                        }
-                        Op::Remove(k) => {
-                            let k = tag | u32::from(k);
-                            assert_eq!(sharded.remove(&k), model.remove(&k));
-                        }
-                        Op::Get(k) => {
-                            let k = tag | u32::from(k);
-                            assert_eq!(sharded.get(&k), model.get(&k).copied());
-                        }
-                    }
-                }
-                model
-            }));
-        }
-        let models: Vec<HashMap<u32, u32>> = joins
-            .into_iter()
-            .map(|j| j.join().expect("worker thread panicked"))
-            .collect();
-        // Quiescent state: the union of the per-thread models is exactly
-        // the sharded map's contents.
-        let want: usize = models.iter().map(HashMap::len).sum();
-        prop_assert_eq!(sharded.len(), want);
-        for model in &models {
-            for (k, v) in model {
-                prop_assert_eq!(sharded.get(k), Some(*v));
-            }
-        }
     }
 }

@@ -549,60 +549,26 @@ pub enum ControlRequest {
         /// Data-plane byte rate limit per second (0 = unlimited).
         bytes_per_sec: u64,
     },
-    /// Shard router → controller shard: adopt a job that was registered
-    /// (and id-minted) on another shard, so every shard can own prefixes
-    /// of the job. Journaled before ack like `RegisterJob`. Idempotent:
-    /// adopting an already-known job with the same name is a no-op.
-    /// (Appended last to keep wire variant indices stable.)
-    AdoptJob {
-        /// The job id minted by the registering shard.
-        job: JobId,
-        /// Client-supplied job name.
-        name: String,
-    },
 }
 
 /// The static shard map of a sharded control plane: how many controller
-/// shards exist, and (via [`ShardMap::shard_of_path`]) which shard owns
-/// a given `(job, path)`. Routing hashes the *root component* of a
-/// dotted path with FNV-1a, so every path below one hierarchy root —
-/// the lease root and all the blocks hanging off it — lands on the same
-/// shard, and routing is a pure function of the map: deterministic
-/// across process restarts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// shards exist and which shard owns a job, a server or a block. Every
+/// shard mints job, server and block ids in its own residue class
+/// (shard `i` issues ids ≡ `i` mod `num_shards`), so routing is `id %
+/// num_shards` for all three: a pure function of the map, with no table
+/// to learn or rebuild, and deterministic across process restarts. A
+/// job's whole hierarchy — every prefix, lease and block of it — lives
+/// on the job's shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMap {
     /// Number of controller shards (≥ 1).
     pub num_shards: u32,
 }
 
 impl ShardMap {
-    /// The first (root) component of a dotted hierarchy path.
-    pub fn root_component(path: &str) -> &str {
-        path.split('.').next().unwrap_or(path)
-    }
-
-    /// The shard owning hierarchy root `root` of `job`. FNV-1a over the
-    /// job id (little-endian) and the root name — stable across
-    /// processes and restarts, unlike `RandomState` hashing.
-    pub fn shard_of_root(&self, job: JobId, root: &str) -> u32 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in job.raw().to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        for b in root.as_bytes() {
-            h = (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
-        }
-        (h % u64::from(self.num_shards.max(1))) as u32
-    }
-
-    /// The shard owning `path` of `job`, assuming the path's root
-    /// component is itself a hierarchy root. Bare node names below a
-    /// root are routed by the shard router's root table instead (the
-    /// node co-locates with its root by construction).
-    pub fn shard_of_path(&self, job: JobId, path: &str) -> u32 {
-        self.shard_of_root(job, Self::root_component(path))
+    /// The shard owning a job id, and with it the job's hierarchy.
+    pub fn shard_of_job(&self, job: JobId) -> u32 {
+        (job.raw() % u64::from(self.num_shards.max(1))) as u32
     }
 
     /// The shard owning a server id (shards mint strided server ids:
@@ -812,18 +778,6 @@ pub enum ControlResponse {
     HeartbeatAck {
         /// The controller's current per-tenant limits.
         limits: Vec<TenantLimit>,
-    },
-    /// The request spans controller shards and must be orchestrated by
-    /// the client (e.g. a `CreateHierarchy` whose roots hash to
-    /// different shards: the client re-issues one shard-local request
-    /// per root group). (Appended last to keep wire variant indices
-    /// stable.)
-    CrossShard {
-        /// Shard owning the first node of the request, for diagnostics.
-        owner_shard: u32,
-        /// The router's static shard map, so the client can group the
-        /// request's nodes by owning shard itself.
-        map: ShardMap,
     },
 }
 
@@ -1427,29 +1381,26 @@ mod tests {
 
     #[test]
     fn sharding_variants_are_appended_last_on_the_wire() {
-        // The wire format encodes enums as a u32 variant index, so the
-        // PR-9 sharding additions must sit after every pre-existing
-        // variant: SetTenantShare is index 21 (22nd variant), pinning
-        // AdoptJob to 22; HeartbeatAck is index 15, pinning CrossShard
-        // to 16.
-        let adopt = to_bytes(&ControlRequest::AdoptJob {
-            job: JobId(4),
-            name: "j".into(),
-        })
-        .unwrap();
-        assert_eq!(&adopt[..4], 22u32.to_le_bytes());
+        // The wire format encodes enums as a u32 variant index, so
+        // variants added after the first release sit after every
+        // pre-existing one: TenantStats is index 20 and SetTenantShare
+        // 21 (the last request); HeartbeatAck is index 15 (the last
+        // response).
         assert_eq!(
             to_bytes(&ControlRequest::TenantStats).unwrap(),
             20u32.to_le_bytes()
         );
-        let hb = to_bytes(&ControlResponse::HeartbeatAck { limits: vec![] }).unwrap();
-        assert_eq!(&hb[..4], 15u32.to_le_bytes());
-        let cross = to_bytes(&ControlResponse::CrossShard {
-            owner_shard: 2,
-            map: ShardMap { num_shards: 4 },
+        let share = to_bytes(&ControlRequest::SetTenantShare {
+            tenant: TenantId(1),
+            share: 1,
+            quota_bytes: 0,
+            ops_per_sec: 0,
+            bytes_per_sec: 0,
         })
         .unwrap();
-        assert_eq!(&cross[..4], 16u32.to_le_bytes());
+        assert_eq!(&share[..4], 21u32.to_le_bytes());
+        let hb = to_bytes(&ControlResponse::HeartbeatAck { limits: vec![] }).unwrap();
+        assert_eq!(&hb[..4], 15u32.to_le_bytes());
         // The epoch rides at the END of ControlResp, after the resp
         // payload, so the positional layout of id + resp is unchanged.
         let env = to_bytes(&Envelope::ControlResp {
@@ -1464,22 +1415,17 @@ mod tests {
     #[test]
     fn shard_map_routing_is_stable_and_in_range() {
         let map = ShardMap { num_shards: 4 };
-        for raw_job in 0..8u64 {
-            for root in ["t0", "t1", "alpha", "beta.gamma"] {
-                let a = map.shard_of_path(JobId(raw_job), root);
-                let b = map.shard_of_path(JobId(raw_job), root);
-                assert_eq!(a, b);
-                assert!(a < 4);
-            }
+        for raw in 0..16u64 {
+            let shard = map.shard_of_job(JobId(raw));
+            assert!(shard < 4);
+            // Jobs, servers and blocks stripe by the same residue rule.
+            assert_eq!(u64::from(shard), raw % 4);
+            assert_eq!(shard, map.shard_of_server(ServerId(raw)));
+            assert_eq!(shard, map.shard_of_block(BlockId(raw)));
         }
-        // Paths under one root co-locate with the root.
-        assert_eq!(
-            map.shard_of_path(JobId(3), "t0"),
-            map.shard_of_path(JobId(3), "t0.t1.t2")
-        );
         // A one-shard map routes everything to shard 0.
         let one = ShardMap { num_shards: 1 };
-        assert_eq!(one.shard_of_path(JobId(9), "anything"), 0);
+        assert_eq!(one.shard_of_job(JobId(9)), 0);
     }
 
     #[test]

@@ -23,22 +23,21 @@
 //!   error and partition rules, togglable at runtime.
 //! - [`retry`] — exponential-backoff [`RetryPolicy`] for transport-level
 //!   faults.
-//! - [`dedup`] — same-id retries execute exactly once: the bounded
+//! - [`replay`] — same-id retries execute exactly once: the bounded
 //!   [`ReplayWindow`], embedded per block on the data plane and per
 //!   controller shard on the control plane.
 //!
 //! [`Service`]: service::Service
 
-pub mod dedup;
 pub mod fabric;
 pub mod fault;
 pub mod inproc;
 pub mod reactor;
+pub mod replay;
 pub mod retry;
 pub mod service;
 pub mod tcp;
 
-pub use dedup::ReplayWindow;
 pub use fabric::{Fabric, LatencyInjector};
 pub use fault::{ChaosConn, FaultInjector, FaultRule, FaultStats};
 pub use inproc::InprocHub;
@@ -46,6 +45,7 @@ pub use reactor::{
     EgressQueue, EgressSink, EventHandler, Interest, Reactor, SendStatus, WaiterSlot, WaiterTable,
     WorkerPool,
 };
+pub use replay::ReplayWindow;
 pub use retry::RetryPolicy;
 pub use service::{ClientConn, PushCallback, Service, SessionHandle};
 pub use tcp::{TcpServerHandle, TransportStats};

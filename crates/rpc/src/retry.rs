@@ -5,7 +5,7 @@
 //! ([`JiffyError::is_transport`]): timeouts, unavailability and broken
 //! connections, where the request may or may not have executed. Callers
 //! retry those with the **same request id**, on whatever connection they
-//! can get: the server side (see [`crate::dedup`]) keys its record by
+//! can get: the server side (see [`crate::replay`]) keys its record by
 //! request id alone and answers from it instead of re-executing.
 //!
 //! [`JiffyError::class`]: jiffy_common::JiffyError::class

@@ -385,22 +385,23 @@ fn dark_controller_shard_serves_cache_hits_and_retried_misses() {
             max_delay: Duration::from_millis(50),
             multiplier: 2.0,
         });
-    let job = client.register_job("shard-dark").unwrap();
-    let sc = cluster.sharded_controller().clone();
-    // Two prefixes on different shards.
-    let mut names = (0..16).map(|i| format!("p{i}"));
-    let a = names.next().unwrap();
-    let b = names
-        .find(|n| sc.route_path(job.id(), n) != sc.route_path(job.id(), &a))
-        .expect("16 names span 2 shards");
+    let map = cluster.sharded_controller().shard_map();
+    // One job per shard.
+    let job = client.register_job("shard-dark-a").unwrap();
+    let other = (0..16)
+        .map(|i| client.register_job(&format!("shard-dark-b{i}")).unwrap())
+        .find(|j| map.shard_of_job(j.id()) != map.shard_of_job(job.id()))
+        .expect("16 jobs span 2 shards");
+    let a = "a".to_string();
+    let b = "b".to_string();
     let kv_a = job.open_kv(&a, &[], 1).unwrap();
-    let kv_b = job.open_kv(&b, &[], 1).unwrap();
+    let kv_b = other.open_kv(&b, &[], 1).unwrap();
     kv_a.put(b"k", b"a").unwrap();
     kv_b.put(b"k", b"b").unwrap();
     let cache = client.metadata_cache();
     job.resolve(&a).unwrap(); // warm
 
-    let dark = sc.route_path(job.id(), &a) as usize;
+    let dark = map.shard_of_job(job.id()) as usize;
     cluster.crash_controller_shard(dark);
 
     // Cached metadata for the dark shard's slice still serves resolves
@@ -418,7 +419,7 @@ fn dark_controller_shard_serves_cache_hits_and_retried_misses() {
     assert_eq!(kv_a.get(b"k").unwrap(), Some(b"a".to_vec()));
     assert_eq!(kv_b.get(b"k").unwrap(), Some(b"b".to_vec()));
     // The live shard's control plane is unaffected.
-    job.resolve_fresh(&b).unwrap();
+    other.resolve_fresh(&b).unwrap();
 
     // A cache miss for the dark slice rides retries into the shard once
     // it recovers.

@@ -406,9 +406,11 @@ fn teardown_and_controller_restart_do_not_wait_out_worker_intervals() {
         assert!(took < Duration::from_secs(1), "{what} took {took:?}");
     };
     for shards in [4, 1] {
+        // A job allocates from its own shard's servers: give every
+        // shard one.
         let mut cluster = JiffyCluster::build_with_shards(
             cfg.clone(),
-            2,
+            shards.max(2),
             8,
             jiffy_common::clock::SystemClock::shared(),
             Arc::new(jiffy_persistent::MemObjectStore::new()),

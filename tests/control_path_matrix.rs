@@ -15,10 +15,17 @@
 //! The retry must get exactly the first answer back, and the metadata —
 //! re-checked after one more whole-plane restart at the end, so from
 //! what the journals recover — must show the effect exactly once: one
-//! job, one server, one prefix, one block allocation. A **partial
-//! fan-out** row (two shards) retries a `DeregisterJob` whose first
-//! attempt was applied by shard 0 while shard 1 was dark: the retry
-//! must complete on shard 1 instead of failing on shard 0.
+//! job, one server, one prefix, one block allocation. Two more rows run
+//! on two shards:
+//!
+//! - **partial fan-out**: a `SetTenantShare` (the one mutating request
+//!   every shard applies) whose first attempt was applied by shard 0
+//!   while shard 1 was dark: the retry must complete on shard 1 instead
+//!   of failing on shard 0;
+//! - **child-node removal**: a `RemovePrefix` of a child whose own name
+//!   would hash to another shard than its root's, retried across a
+//!   whole-plane crash: the retry must find the answer on the job's
+//!   shard, though the node is gone.
 //!
 //! A whole-plane restart over TCP closes every connection to the old
 //! listener, as a process restart would; a same-connection retry that
@@ -192,8 +199,11 @@ impl Matrix {
         });
     }
 
-    fn owner_of_path(&self, job: JobId, name: &str) -> usize {
-        self.cluster.sharded_controller().route_path(job, name) as usize
+    fn owner_of_job(&self, job: JobId) -> usize {
+        self.cluster
+            .sharded_controller()
+            .shard_map()
+            .shard_of_job(job) as usize
     }
 
     /// Prepares `kind` under a fresh job, with its prerequisites in
@@ -206,9 +216,12 @@ impl Matrix {
                 ControlRequest::RegisterJob {
                     name: format!("reg-{tag}"),
                 },
-                0,
+                (rid % self.shards as u64) as usize,
             ),
-            Kind::DeregisterJob => (ControlRequest::DeregisterJob { job }, self.shards - 1),
+            Kind::DeregisterJob => (
+                ControlRequest::DeregisterJob { job },
+                self.owner_of_job(job),
+            ),
             Kind::CreatePrefix => (
                 ControlRequest::CreatePrefix {
                     job,
@@ -217,7 +230,7 @@ impl Matrix {
                     ds: Some(DsType::KvStore),
                     initial_blocks: 1,
                 },
-                self.owner_of_path(job, "p"),
+                self.owner_of_job(job),
             ),
             Kind::CreateHierarchy => (
                 ControlRequest::CreateHierarchy {
@@ -237,7 +250,7 @@ impl Matrix {
                         },
                     ],
                 },
-                self.owner_of_path(job, "h"),
+                self.owner_of_job(job),
             ),
             Kind::AddParent => {
                 self.create(job, "a", &[], None);
@@ -249,7 +262,7 @@ impl Matrix {
                         name: "c".into(),
                         parent: "b".into(),
                     },
-                    self.owner_of_path(job, "c"),
+                    self.owner_of_job(job),
                 )
             }
             Kind::RemovePrefix => {
@@ -259,7 +272,7 @@ impl Matrix {
                         job,
                         name: "p".into(),
                     },
-                    self.owner_of_path(job, "p"),
+                    self.owner_of_job(job),
                 )
             }
             Kind::RenewLease => {
@@ -269,7 +282,7 @@ impl Matrix {
                         job,
                         name: "p".into(),
                     },
-                    self.owner_of_path(job, "p"),
+                    self.owner_of_job(job),
                 )
             }
             Kind::FlushPrefix => {
@@ -280,7 +293,7 @@ impl Matrix {
                         name: "p".into(),
                         external_path: format!("ext/{tag}"),
                     },
-                    self.owner_of_path(job, "p"),
+                    self.owner_of_job(job),
                 )
             }
             Kind::LoadPrefix => {
@@ -297,7 +310,7 @@ impl Matrix {
                         name: "q".into(),
                         external_path: format!("ext/{tag}"),
                     },
-                    self.owner_of_path(job, "q"),
+                    self.owner_of_job(job),
                 )
             }
             Kind::JoinServer => (
@@ -380,11 +393,12 @@ impl Matrix {
         match kind {
             Kind::RegisterJob => {
                 let name = format!("reg-{}", case.tag);
-                for (i, m) in mirrors.iter().enumerate() {
-                    let n = m.jobs.iter().filter(|j| j.name == name).count();
-                    expect(&format!("jobs named {name} on shard {i}"), n, 1)?;
-                }
-                Ok(())
+                let n = mirrors
+                    .iter()
+                    .flat_map(|m| m.jobs.iter())
+                    .filter(|j| j.name == name)
+                    .count();
+                expect(&format!("jobs named {name}"), n, 1)
             }
             Kind::DeregisterJob => {
                 let n = mirrors
@@ -514,6 +528,7 @@ impl Matrix {
         if self.shards > 1 {
             for session in [Session::Same, Session::Fresh] {
                 failures.extend(self.partial_fan_out(session));
+                failures.extend(self.child_node_removal(session));
             }
         }
         // What the journals recover must show every effect once, too.
@@ -527,16 +542,16 @@ impl Matrix {
         failures
     }
 
-    /// `DeregisterJob` whose first attempt reaches shard 0 while shard 1
-    /// is dark; the retry must finish the fan-out.
+    /// `SetTenantShare` whose first attempt reaches shard 0 while shard
+    /// 1 is dark; the retry must finish the fan-out.
     fn partial_fan_out(&self, session: Session) -> Option<String> {
         let row = format!(
-            "[{} x{}] partial fan-out DeregisterJob, {session:?}",
+            "[{} x{}] partial fan-out SetTenantShare, {session:?}",
             if self.tcp { "tcp" } else { "inproc" },
             self.shards
         );
         let rid = next_rid();
-        let case = self.prepare(Kind::DeregisterJob, &format!("fanout-{session:?}"), rid);
+        let case = self.prepare(Kind::SetTenantShare, &format!("fanout-{session:?}"), rid);
         let conn = self.dial();
         self.cluster.crash_controller_shard(1);
         let first = Self::send(&conn, rid, &case.req);
@@ -548,10 +563,82 @@ impl Matrix {
             Ok(ControlResponse::Ack) => {}
             other => return Some(format!("{row}: retry answered {other:?}")),
         }
-        self.check_effect(Kind::DeregisterJob, &case)
+        self.check_effect(Kind::SetTenantShare, &case)
             .err()
             .map(|e| format!("{row}: {e}"))
     }
+
+    /// `RemovePrefix` of a child node whose own name hashes to another
+    /// shard than its root's under per-root hashing (FNV-1a over the job
+    /// id and the root name, the rule that routed hierarchies before
+    /// they were partitioned by job), retried across a whole-plane
+    /// crash. The node is gone by the retry, so only routing by job
+    /// brings the retry back to the answer.
+    fn child_node_removal(&self, session: Session) -> Option<String> {
+        let row = format!(
+            "[{} x{}] child-node RemovePrefix across a whole-plane crash, {session:?}",
+            if self.tcp { "tcp" } else { "inproc" },
+            self.shards
+        );
+        let job = self.register(&format!("job-child-{session:?}"));
+        let n = self.shards as u32;
+        let child = (0..64)
+            .map(|i| format!("c{i}"))
+            .find(|c| per_root_shard(job, c, n) != per_root_shard(job, "r", n))
+            .expect("64 names span two shards");
+        self.create(job, "r", &[], None);
+        self.create(job, &child, &["r"], Some(DsType::KvStore));
+        let rid = next_rid();
+        let req = ControlRequest::RemovePrefix {
+            job,
+            name: child.clone(),
+        };
+        let conn = self.dial();
+        let first = match Self::send(&conn, rid, &req) {
+            Ok(resp) => resp,
+            Err(e) => return Some(format!("{row}: first attempt failed: {e:?}")),
+        };
+        self.crash_restart(Restart::Plane, self.owner_of_job(job));
+        match self.retry(&conn, session, rid, &req) {
+            Ok(resp) if resp == first => {}
+            other => {
+                return Some(format!(
+                    "{row}: retry answered {other:?}, first answer was {first:?}"
+                ))
+            }
+        }
+        let mirrors = self.mirrors();
+        let nodes = |name: &str| {
+            mirrors
+                .iter()
+                .flat_map(|m| m.jobs.iter().filter(|j| j.job == job.raw()))
+                .flat_map(|j| j.nodes.iter().filter(|n| n.name == name))
+                .count()
+        };
+        let blocks = mirrors
+            .iter()
+            .flat_map(|m| m.block_owner.iter())
+            .filter(|(_, j, n)| *j == job.raw() && *n == child)
+            .count();
+        match (nodes(&child), blocks, nodes("r")) {
+            (0, 0, 1) => None,
+            got => Some(format!(
+                "{row}: (child nodes, child blocks, root nodes) = {got:?}, expected (0, 0, 1)"
+            )),
+        }
+    }
+}
+
+/// The shard per-root hashing would give hierarchy root `root` of
+/// `job`: FNV-1a over the job id (little-endian) and the root name.
+fn per_root_shard(job: JobId, root: &str, n: u32) -> u32 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = FNV_OFFSET;
+    for b in job.raw().to_le_bytes().iter().chain(root.as_bytes()) {
+        h = (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
+    }
+    (h % u64::from(n)) as u32
 }
 
 fn matrix(tcp: bool, shards: usize) {

@@ -436,9 +436,13 @@ fn exercise_crash_restart(cluster: &JiffyCluster) {
     let kv2 = job.open_kv("post-restart", &[], 1).expect("new prefix");
     kv2.put(b"x", b"y").expect("put");
     assert_eq!(kv2.get(b"x").expect("get"), Some(b"y".to_vec()));
-    let stats = cluster.controller().stats();
-    assert_eq!(stats.jobs, 1);
-    assert!(cluster.controller().check_invariants().is_empty());
+    // The job lives on its own shard; every shard stays consistent.
+    let sc = cluster.sharded_controller();
+    let home = sc.shard(sc.shard_map().shard_of_job(job.id()) as usize);
+    assert_eq!(home.stats().jobs, 1);
+    for i in 0..sc.num_shards() {
+        assert!(sc.shard(i).check_invariants().is_empty(), "shard {i}");
+    }
 
     // A second crash/restart cycle works too (the first recovery's own
     // journal writes are replayable).

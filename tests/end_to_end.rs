@@ -348,3 +348,82 @@ fn deregister_releases_all_capacity() {
     assert_eq!(after.free_blocks, 16);
     assert_eq!(cluster.used_bytes(), 0);
 }
+
+/// The shard per-root hashing would give hierarchy root `root` of
+/// `job` on `n` shards (FNV-1a over the job id and the root name): the
+/// routing rule before hierarchies were partitioned by job, under which
+/// a DAG whose roots hash apart spanned shards.
+fn per_root_shard(job: jiffy_common::JobId, root: &str, n: usize) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in job.raw().to_le_bytes().iter().chain(root.as_bytes()) {
+        h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h % n as u64
+}
+
+#[test]
+fn multi_parent_dag_works_at_every_shard_count() {
+    use jiffy_proto::DagNodeSpec;
+    // The diamond {r0, r1} -> join, once as one `create_hierarchy` and
+    // once node by node, with roots that per-root hashing would have
+    // put on different shards.
+    for shards in [1, 2, 4] {
+        let cluster = JiffyCluster::build_with_shards(
+            JiffyConfig::for_testing(),
+            4,
+            8,
+            jiffy_common::clock::SystemClock::shared(),
+            jiffy_sync::Arc::new(jiffy_persistent::MemObjectStore::new()),
+            false,
+            false,
+            shards,
+        )
+        .unwrap();
+        let client = cluster.client().unwrap();
+        for atomic in [true, false] {
+            let job = client.register_job(&format!("diamond-{atomic}")).unwrap();
+            let r0 = "r0".to_string();
+            let r1 = (1..64)
+                .map(|i| format!("r{i}"))
+                .find(|r| {
+                    shards == 1
+                        || per_root_shard(job.id(), r, shards)
+                            != per_root_shard(job.id(), &r0, shards)
+                })
+                .expect("63 names span the shards");
+            if atomic {
+                let node = |name: &str, parents: &[&str]| DagNodeSpec {
+                    name: name.into(),
+                    parents: parents.iter().map(ToString::to_string).collect(),
+                    ds: None,
+                    initial_blocks: 0,
+                };
+                job.create_hierarchy(vec![
+                    node(&r0, &[]),
+                    node(&r1, &[]),
+                    node("join", &[&r0, &r1]),
+                ])
+                .unwrap();
+            } else {
+                job.create_addr_prefix(&r0, &[]).unwrap();
+                job.create_addr_prefix(&r1, &[]).unwrap();
+                job.create_addr_prefix("join", &[&r0]).unwrap();
+                job.add_parent("join", &r1).unwrap();
+            }
+            for name in [&r0, &r1, &"join".to_string()] {
+                let view = job.resolve_fresh(name);
+                assert!(
+                    view.is_ok(),
+                    "{shards} shards, atomic {atomic}: {name}: {view:?}"
+                );
+            }
+            for root in [&r0, &r1] {
+                let renewed = job.renew_lease(root).unwrap();
+                assert!(
+                    renewed.contains(&"join".to_string()),
+                    "{shards} shards, atomic {atomic}: renewing {root} reached {renewed:?}"
+                );
+            }
+        }
+    }
+}

@@ -32,7 +32,7 @@ fn ack_without_journal(req: ControlRequest) -> Result<ControlResponse, ()> {
             // Journaled through commit, answer and all: exempt.
             self.commit(st, rid, ops, ControlResponse::Ack)
         }
-        ControlRequest::AdoptJob { .. } => {
+        ControlRequest::SetTenantShare { .. } => {
             // rule: journal-before-ack — a router arm minting its own ack
             // must forward through dispatch_journaled (or journal) first.
             Ok(ControlResponse::Ack)

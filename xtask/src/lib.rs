@@ -467,7 +467,6 @@ const MUTATING_CONTROL_ARMS: &[&str] = &[
     "ReportOverload",
     "ReportUnderload",
     "SetTenantShare",
-    "AdoptJob",
 ];
 
 /// Rule 5: a mutating `ControlRequest::` arm that mints its own
@@ -482,7 +481,7 @@ const MUTATING_CONTROL_ARMS: &[&str] = &[
 /// arm's inner `match` is attributed correctly. Routers that forward
 /// the request (`shard.dispatch(req)`) never mint a response literal
 /// and so are never flagged; a router arm that *does* mint a literal
-/// (fan-outs, cross-shard replies) satisfies the rule by forwarding
+/// (a fan-out) satisfies the rule by forwarding
 /// through `dispatch_journaled`, which reaches a journaling shard and
 /// counts the same as a direct `journal_append`.
 fn check_journal_before_ack(rel: &Path, text: &str, out: &mut Vec<Violation>) {
@@ -1306,13 +1305,13 @@ fn dispatch(req: ControlRequest) -> Result<ControlResponse> {
 
     #[test]
     fn journal_before_ack_recognizes_shard_forwarding() {
-        // A shard router that mints its own response literal (fan-outs,
-        // cross-shard replies) satisfies the rule by forwarding through
+        // A shard router that mints its own response literal (a fan-out)
+        // satisfies the rule by forwarding through
         // dispatch_journaled — the shard journals before acking.
         let good = "\
 fn dispatch_as(&self, req: ControlRequest) -> Result<ControlResponse> {
     match req {
-        ControlRequest::AdoptJob { .. } => {
+        ControlRequest::SetTenantShare { .. } => {
             for i in 0..n {
                 self.dispatch_journaled(i, req.clone(), tenant)?;
             }
@@ -1326,7 +1325,7 @@ fn dispatch_as(&self, req: ControlRequest) -> Result<ControlResponse> {
         let bad = "\
 fn dispatch_as(&self, req: ControlRequest) -> Result<ControlResponse> {
     match req {
-        ControlRequest::AdoptJob { .. } => {
+        ControlRequest::SetTenantShare { .. } => {
             if self.known(&req) {
                 return Ok(ControlResponse::Ack);
             }
