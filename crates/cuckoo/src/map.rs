@@ -1,7 +1,6 @@
 //! The core cuckoo hash table.
 
 use std::collections::hash_map::RandomState;
-use std::collections::VecDeque;
 use std::hash::{BuildHasher, Hash};
 
 /// Slots per bucket (4-way set associative, like libcuckoo's default).
@@ -15,8 +14,18 @@ const MAX_BFS_DEPTH: usize = 5;
 /// capped to keep worst-case insert latency bounded.
 const MAX_BFS_NODES: usize = 2048;
 
+/// Highest share of slots, in percent, an insert may fill before the
+/// table doubles. Near 95 % load almost every new key needs a long BFS
+/// eviction search; at 90 % the search is short or absent, so an insert
+/// costs about what a `std::HashMap` insert does.
+const MAX_LOAD_PERCENT: usize = 90;
+
 #[derive(Debug, Clone)]
 struct Entry<K, V> {
+    /// The key's hash, kept so that a rehash or a displacement never
+    /// hashes the key again and a lookup compares keys only on a hash
+    /// match.
+    hash: u64,
     key: K,
     value: V,
 }
@@ -27,12 +36,29 @@ fn empty_bucket<K, V>() -> Bucket<K, V> {
     [None, None, None, None]
 }
 
-/// A cuckoo hash map with two hash functions and 4-way buckets.
+/// The fewest buckets (a power of two, at least 2) that hold `entries`
+/// under the load cap.
+fn buckets_for(entries: usize) -> usize {
+    (entries * 100)
+        .div_ceil(SLOTS * MAX_LOAD_PERCENT)
+        .next_power_of_two()
+        .max(2)
+}
+
+/// A cuckoo hash map with two candidate buckets per key and 4-way
+/// buckets.
 ///
+/// One 64-bit hash of the key picks both candidates: its low half
+/// indexes the first bucket and its high half the second. Each entry
+/// keeps its hash, so a call hashes its key once and a rehash or a
+/// displacement hashes nothing.
 /// Every key lives in one of exactly two candidate buckets, so `get`,
-/// `remove` and `contains` probe at most eight slots. `insert` may
-/// relocate existing entries along a BFS-discovered path; if no path of
-/// length ≤ 5 exists the table doubles and rehashes.
+/// `remove` and `contains` probe at most eight slots. `insert` doubles
+/// the table before a new key would fill more than 90 % of the slots,
+/// and below that cap may relocate existing entries along a
+/// BFS-discovered path; if no path of length ≤ 5 exists the table
+/// doubles anyway. [`reserve`](Self::reserve) sizes the table once for
+/// a known number of new keys.
 ///
 /// # Examples
 ///
@@ -50,8 +76,7 @@ fn empty_bucket<K, V>() -> Bucket<K, V> {
 pub struct CuckooMap<K, V, S = RandomState> {
     buckets: Vec<Bucket<K, V>>,
     len: usize,
-    hasher_a: S,
-    hasher_b: S,
+    hasher: S,
 }
 
 impl<K: Hash + Eq, V> CuckooMap<K, V, RandomState> {
@@ -63,15 +88,10 @@ impl<K: Hash + Eq, V> CuckooMap<K, V, RandomState> {
     /// Creates an empty map sized for at least `cap` entries without
     /// growing.
     pub fn with_capacity(cap: usize) -> Self {
-        // Target a load factor of ~0.8 at `cap` entries.
-        let buckets = ((cap as f64 / (SLOTS as f64 * 0.8)).ceil() as usize)
-            .next_power_of_two()
-            .max(2);
         Self {
-            buckets: (0..buckets).map(|_| empty_bucket()).collect(),
+            buckets: (0..buckets_for(cap)).map(|_| empty_bucket()).collect(),
             len: 0,
-            hasher_a: RandomState::new(),
-            hasher_b: RandomState::new(),
+            hasher: RandomState::new(),
         }
     }
 }
@@ -83,13 +103,12 @@ impl<K: Hash + Eq, V> Default for CuckooMap<K, V, RandomState> {
 }
 
 impl<K: Hash + Eq, V, S: BuildHasher + Clone> CuckooMap<K, V, S> {
-    /// Creates an empty map using the two provided hasher factories.
-    pub fn with_hashers(hasher_a: S, hasher_b: S) -> Self {
+    /// Creates an empty map using the provided hasher factory.
+    pub fn with_hasher(hasher: S) -> Self {
         Self {
             buckets: (0..2).map(|_| empty_bucket()).collect(),
             len: 0,
-            hasher_a,
-            hasher_b,
+            hasher,
         }
     }
 
@@ -108,46 +127,38 @@ impl<K: Hash + Eq, V, S: BuildHasher + Clone> CuckooMap<K, V, S> {
         self.buckets.len() * SLOTS
     }
 
-    /// Current load factor in `[0, 1]`.
+    /// Current load factor in `[0, 0.9]` (see `MAX_LOAD_PERCENT`).
     pub fn load_factor(&self) -> f64 {
         self.len as f64 / self.capacity() as f64
     }
 
-    fn index_a(&self, key: &K) -> usize {
-        (self.hasher_a.hash_one(key) as usize) & (self.buckets.len() - 1)
+    /// The two candidate buckets of a key with this hash: the low and
+    /// the high 32 bits are independent, so the buckets are too.
+    fn indices(&self, hash: u64) -> [usize; 2] {
+        let mask = self.buckets.len() - 1;
+        [hash as usize & mask, (hash >> 32) as usize & mask]
     }
 
-    fn index_b(&self, key: &K) -> usize {
-        // Mix so that index_b differs from index_a for almost all keys
-        // even with identical hasher seeds.
-        let h = self.hasher_b.hash_one(key);
-        ((h ^ (h >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize) & (self.buckets.len() - 1)
-    }
-
-    fn find_in_bucket(bucket: &Bucket<K, V>, key: &K) -> Option<usize> {
-        bucket
-            .iter()
-            .position(|e| e.as_ref().is_some_and(|e| &e.key == key))
+    /// The `(bucket, slot)` holding `key`, whose hash is `hash`.
+    fn find(&self, hash: u64, key: &K) -> Option<(usize, usize)> {
+        self.indices(hash).into_iter().find_map(|idx| {
+            let slot = self.buckets[idx]
+                .iter()
+                .position(|e| e.as_ref().is_some_and(|e| e.hash == hash && &e.key == key))?;
+            Some((idx, slot))
+        })
     }
 
     /// Looks up a key.
     pub fn get(&self, key: &K) -> Option<&V> {
-        for idx in [self.index_a(key), self.index_b(key)] {
-            if let Some(slot) = Self::find_in_bucket(&self.buckets[idx], key) {
-                return self.buckets[idx][slot].as_ref().map(|e| &e.value);
-            }
-        }
-        None
+        let (idx, slot) = self.find(self.hasher.hash_one(key), key)?;
+        self.buckets[idx][slot].as_ref().map(|e| &e.value)
     }
 
     /// Looks up a key, returning a mutable value reference.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        for idx in [self.index_a(key), self.index_b(key)] {
-            if let Some(slot) = Self::find_in_bucket(&self.buckets[idx], key) {
-                return self.buckets[idx][slot].as_mut().map(|e| &mut e.value);
-            }
-        }
-        None
+        let (idx, slot) = self.find(self.hasher.hash_one(key), key)?;
+        self.buckets[idx][slot].as_mut().map(|e| &mut e.value)
     }
 
     /// Whether the key is present.
@@ -158,44 +169,40 @@ impl<K: Hash + Eq, V, S: BuildHasher + Clone> CuckooMap<K, V, S> {
     /// Inserts a key-value pair, returning the previous value if the key
     /// was present.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let hash = self.hasher.hash_one(&key);
         // Update in place if present.
-        for idx in [self.index_a(&key), self.index_b(&key)] {
-            if let Some(slot) = Self::find_in_bucket(&self.buckets[idx], &key) {
-                #[allow(clippy::expect_used)] // invariant documented in the message
-                let entry = self.buckets[idx][slot]
-                    .as_mut()
-                    .expect("invariant: find_in_bucket returned an occupied slot");
-                return Some(std::mem::replace(&mut entry.value, value));
-            }
+        if let Some((idx, slot)) = self.find(hash, &key) {
+            #[allow(clippy::expect_used)] // invariant documented in the message
+            let entry = self.buckets[idx][slot]
+                .as_mut()
+                .expect("invariant: find returned an occupied slot");
+            return Some(std::mem::replace(&mut entry.value, value));
         }
-        let mut pending = Entry { key, value };
-        loop {
-            match self.place(pending) {
-                Ok(()) => {
-                    self.len += 1;
-                    return None;
-                }
-                Err(e) => {
-                    self.grow();
-                    pending = e;
-                }
-            }
+        self.reserve(1);
+        self.place_or_grow(Entry { hash, key, value });
+        self.len += 1;
+        None
+    }
+
+    /// Makes room for `additional` more entries under the load cap,
+    /// rehashing at most once, so that many inserts of new keys place
+    /// each entry once instead of doubling the table step by step.
+    pub fn reserve(&mut self, additional: usize) {
+        let buckets = buckets_for(self.len + additional);
+        if buckets > self.buckets.len() {
+            self.resize(buckets);
         }
     }
 
     /// Removes a key, returning its value if present.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        for idx in [self.index_a(key), self.index_b(key)] {
-            if let Some(slot) = Self::find_in_bucket(&self.buckets[idx], key) {
-                #[allow(clippy::expect_used)] // invariant documented in the message
-                let entry = self.buckets[idx][slot]
-                    .take()
-                    .expect("invariant: find_in_bucket returned an occupied slot");
-                self.len -= 1;
-                return Some(entry.value);
-            }
-        }
-        None
+        let (idx, slot) = self.find(self.hasher.hash_one(key), key)?;
+        #[allow(clippy::expect_used)] // invariant documented in the message
+        let entry = self.buckets[idx][slot]
+            .take()
+            .expect("invariant: find returned an occupied slot");
+        self.len -= 1;
+        Some(entry.value)
     }
 
     /// Iterates over all entries in unspecified order.
@@ -237,16 +244,27 @@ impl<K: Hash + Eq, V, S: BuildHasher + Clone> CuckooMap<K, V, S> {
         out
     }
 
+    /// The bucket `entry`, stored in `bucket`, moves to when displaced.
+    fn alt_index(&self, entry: &Entry<K, V>, bucket: usize) -> usize {
+        let [a, b] = self.indices(entry.hash);
+        if a == bucket {
+            b
+        } else {
+            a
+        }
+    }
+
     /// Attempts to place `entry` without growing. On failure returns the
     /// entry back so the caller can grow and retry.
     fn place(&mut self, entry: Entry<K, V>) -> Result<(), Entry<K, V>> {
-        let a = self.index_a(&entry.key);
-        let b = self.index_b(&entry.key);
-        for idx in [a, b] {
-            if let Some(slot) = self.buckets[idx].iter().position(Option::is_none) {
-                self.buckets[idx][slot] = Some(entry);
-                return Ok(());
-            }
+        let [a, b] = self.indices(entry.hash);
+        // The emptier candidate: keeping buckets even keeps both of a
+        // key's buckets from filling, which is when the BFS runs.
+        let free = |idx: usize| self.buckets[idx].iter().filter(|s| s.is_none()).count();
+        let idx = if free(b) > free(a) { b } else { a };
+        if let Some(slot) = self.buckets[idx].iter().position(Option::is_none) {
+            self.buckets[idx][slot] = Some(entry);
+            return Ok(());
         }
         // Both candidate buckets full: BFS for a chain of relocations
         // ending in a free slot.
@@ -271,29 +289,36 @@ impl<K: Hash + Eq, V, S: BuildHasher + Clone> CuckooMap<K, V, S> {
     /// candidate buckets. Returns a path of `(bucket, slot)` hops where
     /// moving each hop's entry to its alternate bucket frees the chain.
     fn find_eviction_path(&self, a: usize, b: usize) -> Option<Vec<(usize, usize)>> {
-        #[derive(Clone)]
         struct Node {
             bucket: usize,
             slot: usize,
+            depth: usize,
             parent: Option<usize>,
         }
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut queue: VecDeque<(usize, usize)> = VecDeque::new(); // (node idx, depth)
+        // `nodes` is the BFS queue too: nodes are appended in visit order
+        // and `next` walks them. Most searches end within two levels,
+        // which fit the first allocation.
+        let mut nodes: Vec<Node> = Vec::with_capacity(16 * SLOTS);
         for start in [a, b] {
             for slot in 0..SLOTS {
                 nodes.push(Node {
                     bucket: start,
                     slot,
+                    depth: 1,
                     parent: None,
                 });
-                queue.push_back((nodes.len() - 1, 1));
             }
         }
-        while let Some((node_idx, depth)) = queue.pop_front() {
-            let (bucket, slot) = {
-                let n = &nodes[node_idx];
-                (n.bucket, n.slot)
-            };
+        let mut next = 0;
+        while let Some(&Node {
+            bucket,
+            slot,
+            depth,
+            ..
+        }) = nodes.get(next)
+        {
+            let node_idx = next;
+            next += 1;
             let entry = match &self.buckets[bucket][slot] {
                 Some(e) => e,
                 // Shouldn't happen (we only enqueue occupied slots from
@@ -301,15 +326,7 @@ impl<K: Hash + Eq, V, S: BuildHasher + Clone> CuckooMap<K, V, S> {
                 None => continue,
             };
             // Where would this entry go if displaced?
-            let alt = {
-                let ia = self.index_a(&entry.key);
-                let ib = self.index_b(&entry.key);
-                if ia == bucket {
-                    ib
-                } else {
-                    ia
-                }
-            };
+            let alt = self.alt_index(entry, bucket);
             if let Some(_free) = self.buckets[alt].iter().position(Option::is_none) {
                 // Found a terminating bucket with space: reconstruct path.
                 let mut path = Vec::new();
@@ -326,9 +343,9 @@ impl<K: Hash + Eq, V, S: BuildHasher + Clone> CuckooMap<K, V, S> {
                     nodes.push(Node {
                         bucket: alt,
                         slot: next_slot,
+                        depth: depth + 1,
                         parent: Some(node_idx),
                     });
-                    queue.push_back((nodes.len() - 1, depth + 1));
                 }
             }
         }
@@ -343,9 +360,7 @@ impl<K: Hash + Eq, V, S: BuildHasher + Clone> CuckooMap<K, V, S> {
             let entry = self.buckets[bucket][slot]
                 .take()
                 .expect("invariant: the BFS only records occupied slots");
-            let ia = self.index_a(&entry.key);
-            let ib = self.index_b(&entry.key);
-            let alt = if ia == bucket { ib } else { ia };
+            let alt = self.alt_index(&entry, bucket);
             #[allow(clippy::expect_used)] // invariant documented in the message
             let free = self.buckets[alt]
                 .iter()
@@ -355,52 +370,30 @@ impl<K: Hash + Eq, V, S: BuildHasher + Clone> CuckooMap<K, V, S> {
         }
     }
 
-    /// Doubles the bucket array and re-places every entry.
-    fn grow(&mut self) {
-        let new_buckets = self.buckets.len() * 2;
-        let old = std::mem::replace(
-            &mut self.buckets,
-            (0..new_buckets).map(|_| empty_bucket()).collect(),
-        );
-        let old_len = self.len;
-        self.len = 0;
-        let mut spill: Vec<Entry<K, V>> = Vec::new();
-        for bucket in old {
-            for entry in bucket.into_iter().flatten() {
-                match self.place(entry) {
-                    Ok(()) => self.len += 1,
-                    Err(e) => spill.push(e),
-                }
-            }
+    /// Places `entry`, doubling the table until a path for it exists.
+    fn place_or_grow(&mut self, mut entry: Entry<K, V>) {
+        while let Err(e) = self.place(entry) {
+            self.resize(self.buckets.len() * 2);
+            entry = e;
         }
-        // Extremely unlikely, but if rehash itself fails, grow again.
-        while let Some(entry) = spill.pop() {
-            match self.place(entry) {
-                Ok(()) => self.len += 1,
-                Err(e) => {
-                    spill.push(e);
-                    self.grow_inner(&mut spill);
-                }
-            }
-        }
-        debug_assert_eq!(self.len, old_len);
     }
 
-    /// Helper for the pathological re-grow-during-grow case.
-    fn grow_inner(&mut self, spill: &mut Vec<Entry<K, V>>) {
-        let new_buckets = self.buckets.len() * 2;
+    /// Re-places every entry into `buckets` buckets (a power of two).
+    fn resize(&mut self, buckets: usize) {
         let old = std::mem::replace(
             &mut self.buckets,
-            (0..new_buckets).map(|_| empty_bucket()).collect(),
+            (0..buckets).map(|_| empty_bucket()).collect(),
         );
-        self.len = 0;
-        for bucket in old {
-            for entry in bucket.into_iter().flatten() {
-                match self.place(entry) {
-                    Ok(()) => self.len += 1,
-                    Err(e) => spill.push(e),
-                }
+        let mut spill = Vec::new();
+        for entry in old.into_iter().flatten().flatten() {
+            if let Err(e) = self.place(entry) {
+                spill.push(e);
             }
+        }
+        // Extremely unlikely: an entry found no path even in the new
+        // table, so it grows again.
+        for entry in spill {
+            self.place_or_grow(entry);
         }
     }
 }
@@ -434,8 +427,50 @@ mod tests {
         for i in 0..10_000u64 {
             assert_eq!(m.get(&i), Some(&(i * 2)));
         }
-        // Load factor should be sane after growth.
-        assert!(m.load_factor() > 0.1 && m.load_factor() <= 1.0);
+        // Load factor should be sane after growth, and under the cap.
+        assert!(m.load_factor() > 0.1 && m.load_factor() <= max_load());
+    }
+
+    fn max_load() -> f64 {
+        MAX_LOAD_PERCENT as f64 / 100.0
+    }
+
+    #[test]
+    fn inserts_and_removes_never_pass_the_load_cap() {
+        let mut m = CuckooMap::new();
+        let mut state = 0x9E37_79B9u64;
+        for _ in 0..2_000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let key = (state >> 33) % 256;
+            if state.is_multiple_of(4) {
+                m.remove(&key);
+            } else {
+                m.insert(key, state);
+            }
+            assert!(m.load_factor() <= max_load(), "{}", m.load_factor());
+        }
+    }
+
+    #[test]
+    fn reserve_sizes_the_table_once() {
+        for (start, n) in [(0u64, 1usize), (0, 7), (5, 120), (40, 300)] {
+            let mut m = CuckooMap::new();
+            for i in 0..start {
+                m.insert(i, ());
+            }
+            m.reserve(n);
+            let cap = m.capacity();
+            assert!((m.len() + n) as f64 <= cap as f64 * max_load());
+            for i in start..start + n as u64 {
+                m.insert(i, ());
+            }
+            assert_eq!(m.capacity(), cap, "start {start}, n {n}");
+        }
+        // Room already there: no rehash, no change.
+        let mut m: CuckooMap<u64, ()> = CuckooMap::with_capacity(100);
+        let cap = m.capacity();
+        m.reserve(100);
+        assert_eq!(m.capacity(), cap);
     }
 
     #[test]

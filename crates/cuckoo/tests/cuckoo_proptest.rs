@@ -1,9 +1,13 @@
 //! Property tests: [`CuckooMap`] behaves exactly like a model `HashMap`
-//! under arbitrary operation sequences.
+//! under arbitrary operation sequences, stays under its load cap, and
+//! `reserve` sizes it once.
 
 use jiffy_cuckoo::CuckooMap;
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// `CuckooMap`'s load cap: inserts double the table before passing it.
+const MAX_LOAD: f64 = 0.9;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -61,6 +65,42 @@ proptest! {
         for &k in &keys {
             prop_assert_eq!(cuckoo.get(&k), Some(&(u32::from(k) * 3)));
         }
+    }
+
+    #[test]
+    fn load_factor_stays_under_the_cap(ops in proptest::collection::vec(op_strategy(), 0..2000)) {
+        let mut cuckoo = CuckooMap::new();
+        for op in ops {
+            match op {
+                Op::Insert(k, v) => {
+                    cuckoo.insert(k, v);
+                }
+                Op::Remove(k) => {
+                    cuckoo.remove(&k);
+                }
+                Op::Get(_) => {}
+            }
+            prop_assert!(cuckoo.load_factor() <= MAX_LOAD, "load {}", cuckoo.load_factor());
+        }
+    }
+
+    #[test]
+    fn reserve_then_fresh_inserts_never_resize(
+        present in proptest::collection::hash_set(any::<u16>(), 0..300),
+        fresh in proptest::collection::hash_set(any::<u16>(), 0..600),
+    ) {
+        let mut cuckoo = CuckooMap::new();
+        for &k in &present {
+            cuckoo.insert(k, 0u32);
+        }
+        let fresh: Vec<u16> = fresh.difference(&present).copied().collect();
+        cuckoo.reserve(fresh.len());
+        let capacity = cuckoo.capacity();
+        for &k in &fresh {
+            prop_assert_eq!(cuckoo.insert(k, 1), None);
+            prop_assert_eq!(cuckoo.capacity(), capacity);
+        }
+        prop_assert_eq!(cuckoo.len(), present.len() + fresh.len());
     }
 
     #[test]

@@ -100,6 +100,12 @@ impl KvPartition {
         self.map.is_empty()
     }
 
+    /// Slot capacity of the pair table, to check how absorb sized it.
+    #[cfg(test)]
+    fn table_capacity(&self) -> usize {
+        self.map.capacity()
+    }
+
     fn owns(&self, slot: u32) -> bool {
         self.ranges.iter().any(|&(lo, hi)| lo <= slot && slot <= hi)
     }
@@ -241,6 +247,7 @@ impl Partition for KvPartition {
                         requested: total,
                     });
                 }
+                self.map.reserve(parts.iter().map(|p| p.pairs.len()).sum());
                 for p in parts {
                     self.ranges.push((p.lo, p.hi));
                     for (k, v) in p.pairs {
@@ -261,6 +268,7 @@ impl Partition for KvPartition {
                 }
                 self.ranges.push((p.lo, p.hi));
                 self.ranges.sort_unstable();
+                self.map.reserve(p.pairs.len());
                 for (k, v) in p.pairs {
                     self.used += Self::pair_cost(&k, &v);
                     self.map.insert(k, v);
@@ -281,7 +289,7 @@ impl Partition for KvPartition {
                 }
                 self.num_slots = num_slots;
                 self.ranges = ranges;
-                self.map = CuckooMap::new();
+                self.map = CuckooMap::with_capacity(pairs.len());
                 self.used = 0;
                 for (k, v) in pairs {
                     self.used += Self::pair_cost(&k, &v);
@@ -507,6 +515,80 @@ mod tests {
         assert_eq!(
             restored.execute(&DsOp::Get { key: "k42".into() }).unwrap(),
             DsResult::MaybeData(Some("v42".into()))
+        );
+    }
+
+    fn sorted_pairs(kv: &KvPartition) -> Vec<(Blob, Blob)> {
+        let mut pairs: Vec<(Blob, Blob)> =
+            kv.map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        pairs.sort_unstable_by(|(a, _), (b, _)| a[..].cmp(&b[..]));
+        pairs
+    }
+
+    #[test]
+    fn absorb_sizes_the_table_once_for_a_full_block() {
+        // One block of the grow-and-spill workload: 256 KB, 1 KB values,
+        // filled to the 95 % split threshold (~237 pairs).
+        let capacity = 256 << 10;
+        let mut kv = KvPartition::new(
+            capacity,
+            KvParams {
+                ranges: vec![(0, 1023)],
+                num_slots: 1024,
+            },
+        )
+        .unwrap();
+        let value = "v".repeat(1024);
+        for i in 0.. {
+            let key = format!("k{i:08}");
+            if kv.used_bytes() + key.len() + value.len() + PER_ITEM_OVERHEAD > capacity * 95 / 100 {
+                break;
+            }
+            kv.execute(&put(&key, &value)).unwrap();
+        }
+        let all = sorted_pairs(&kv);
+        let empty = || {
+            KvPartition::new(
+                capacity,
+                KvParams {
+                    ranges: vec![],
+                    num_slots: 1024,
+                },
+            )
+            .unwrap()
+        };
+
+        // Flush/load: the whole image into an empty block.
+        let mut loaded = empty();
+        loaded.absorb(&kv.export().unwrap()).unwrap();
+        assert_eq!(sorted_pairs(&loaded), all);
+        assert_eq!(loaded.used_bytes(), kv.used_bytes());
+        // Sized once from the pair count: no doubling while inserting.
+        assert_eq!(
+            loaded.table_capacity(),
+            CuckooMap::<Blob, Blob>::with_capacity(all.len()).capacity(),
+            "a loaded image grew its table while absorbing"
+        );
+
+        // Split: half the slots into an empty target.
+        let mut target = empty();
+        target
+            .absorb(
+                &kv.split_out(&SplitSpec::KvSlots { lo: 512, hi: 1023 })
+                    .unwrap(),
+            )
+            .unwrap();
+        let mut both = sorted_pairs(&kv);
+        both.extend(sorted_pairs(&target));
+        both.sort_unstable_by(|(a, _), (b, _)| a[..].cmp(&b[..]));
+        assert_eq!(both, all);
+        assert!(sorted_pairs(&target)
+            .iter()
+            .all(|(k, _)| kv_slot(k, 1024) >= 512));
+        assert_eq!(
+            target.table_capacity(),
+            CuckooMap::<Blob, Blob>::with_capacity(target.len()).capacity(),
+            "a split target grew its table while absorbing"
         );
     }
 

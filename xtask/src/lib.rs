@@ -59,6 +59,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub mod analysis;
+pub mod bench_diff;
 pub mod lex;
 pub mod loc;
 pub mod parse;

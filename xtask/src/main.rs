@@ -16,6 +16,11 @@
 //!                 into non-test code and test code (`tests/` trees and
 //!                 `#[cfg(test)]` regions) — the LOC delta CHANGES.md
 //!                 reports.
+//!   bench-diff A.json B.json
+//!                 run `benchmark compare A.json B.json` through the
+//!                 command BENCHMARK.json declares and pass its exit code
+//!                 through: 0 when no metric of B is worse than A's
+//!                 beyond its bound.
 //!   bench-smoke   run every criterion bench in quick mode
 //!                 (JIFFY_BENCH_QUICK=1: fixed low sample count) plus the
 //!                 dataplane throughput and noisy neighbor bins — a
@@ -112,10 +117,12 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
+        "bench-diff" => bench_diff(&args.collect::<Vec<_>>()),
         "bench-smoke" => bench_smoke(),
         other => {
             eprintln!(
-                "unknown xtask command `{other}` (expected: lint, analyze, loc, bench-smoke)"
+                "unknown xtask command `{other}` \
+                 (expected: lint, analyze, loc, bench-diff, bench-smoke)"
             );
             ExitCode::FAILURE
         }
@@ -214,6 +221,38 @@ fn loc(base: &str) -> ExitCode {
     );
     print!("{}", xtask::loc::render(&tally));
     ExitCode::SUCCESS
+}
+
+/// Runs `benchmark compare` on two result files; its exit code is ours.
+fn bench_diff(args: &[String]) -> ExitCode {
+    let root = default_root();
+    let argv = std::fs::read_to_string(root.join("BENCHMARK.json"))
+        .map_err(|e| format!("BENCHMARK.json: {e}"))
+        .and_then(|manifest| {
+            let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
+            xtask::bench_diff::compare_argv(&manifest, args, &cwd)
+        });
+    let argv = match argv {
+        Ok(argv) => argv,
+        Err(e) => {
+            eprintln!("xtask bench-diff: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match Command::new(&argv[0])
+        .args(&argv[1..])
+        .current_dir(&root)
+        .status()
+    {
+        Ok(status) => match status.code() {
+            Some(code) => ExitCode::from(code as u8),
+            None => ExitCode::FAILURE,
+        },
+        Err(e) => {
+            eprintln!("xtask bench-diff: failed to spawn {}: {e}", argv[0]);
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Runs the criterion suite and the dataplane throughput bin in quick
