@@ -147,10 +147,24 @@ impl IdGen {
         self.next.load(Ordering::Relaxed)
     }
 
-    /// Advances the generator so it never issues a value below `floor`.
+    /// The next `n` values [`next_raw`](Self::next_raw) would issue,
+    /// without issuing them.
+    pub fn peek(&self, n: u64) -> impl Iterator<Item = u64> {
+        let step = self.step.load(Ordering::Relaxed).max(1);
+        let start = self.current();
+        (0..n).map(move |i| start + i * step)
+    }
+
+    /// Advances the generator so it never issues a value below `floor`,
+    /// in whole steps, so a strided generator stays in its residue class.
     /// No-op if the generator is already past it.
     pub fn bump_to(&self, floor: u64) {
-        self.next.fetch_max(floor, Ordering::Relaxed);
+        let step = self.step.load(Ordering::Relaxed).max(1);
+        let _ = self
+            .next
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                (floor > cur).then(|| cur + (floor - cur).div_ceil(step) * step)
+            });
     }
 
     /// Converts this generator into a strided one issuing ids ≡ `index`
@@ -255,6 +269,21 @@ mod tests {
         let g = IdGen::starting_at(13);
         g.set_stride(1, 4);
         assert_eq!(g.next_raw(), 13);
+    }
+
+    #[test]
+    fn peek_issues_nothing_and_bump_keeps_the_class() {
+        let g = IdGen::strided(1, 3);
+        assert_eq!(g.peek(3).collect::<Vec<_>>(), vec![1, 4, 7]);
+        assert_eq!(g.current(), 1, "peek issues nothing");
+        // Past a recorded id 7: the next value is 10, not 8.
+        g.bump_to(8);
+        assert_eq!(g.next_raw(), 10);
+        g.bump_to(2);
+        assert_eq!(g.next_raw(), 13, "a floor behind the frontier is a no-op");
+        let plain = IdGen::new();
+        plain.bump_to(5);
+        assert_eq!(plain.next_raw(), 5);
     }
 
     #[test]

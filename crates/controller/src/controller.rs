@@ -4,7 +4,6 @@ use jiffy_sync::Arc;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use jiffy_common::clock::SharedClock;
-use jiffy_common::id::IdGen;
 use jiffy_common::{BlockId, JiffyConfig, JiffyError, JobId, Result, ServerId, TenantId};
 use jiffy_elastic::{
     AutoscalerPolicy, FailureDetector, ScaleDecision, ServerProvider, ServerState,
@@ -15,15 +14,14 @@ use jiffy_proto::{
     DataRequest, DataResponse, DsType, Envelope, JournalOp, MergeSpec, PrefixView, Replica,
     SplitSpec, TenantLoad, TenantStatsEntry, CLIENT_RID_BASE, INTERNAL_RID,
 };
-use jiffy_qos::{weighted_max_min, TenantDirectory};
-use jiffy_rpc::{Fabric, ReplayWindow};
+use jiffy_qos::weighted_max_min;
+use jiffy_rpc::Fabric;
 use jiffy_sync::atomic::{AtomicU64, Ordering};
 use jiffy_sync::{Mutex, StopSignal};
 use serde::{Deserialize, Serialize};
 
-use crate::freelist::FreeList;
 use crate::hierarchy::AddressHierarchy;
-use crate::journal::{self, Journal, StateMirror};
+use crate::journal::{self, Journal, StateMirror, Tables};
 use crate::meta::{DsMeta, DsSkeleton};
 
 /// Controller-side view of the data plane, so the same control logic
@@ -344,6 +342,17 @@ pub(crate) struct JobEntry {
     pub(crate) tenant: TenantId,
 }
 
+impl JobEntry {
+    /// Every chain of every node, nodes in name order.
+    pub(crate) fn locations(&self) -> Vec<BlockLocation> {
+        let names = self.hierarchy.names();
+        let metas = names
+            .iter()
+            .filter_map(|n| self.hierarchy.get(n)?.ds.as_ref());
+        metas.flat_map(DsMeta::locations).collect()
+    }
+}
+
 /// Monotonic stats counters. Serializable so snapshots and
 /// `StateRewritten` journal records carry them across a controller
 /// restart (DESIGN.md §11).
@@ -369,8 +378,8 @@ pub struct Counters {
 
 /// What [`Controller::handle_underload`] hands back to the dispatch
 /// arm: the surviving block to notify of the merge, the merge spec for
-/// the data plane, the journal ops to append, and the drained source
-/// block whose reset must wait until the append is durable.
+/// the data plane, the journal ops to commit, and the drained source
+/// block whose reset must wait until the commit is durable.
 type UnderloadOutcome = (
     Option<BlockLocation>,
     Option<MergeSpec>,
@@ -378,27 +387,20 @@ type UnderloadOutcome = (
     Option<BlockLocation>,
 );
 
-pub(crate) struct CtrlState {
-    pub(crate) jobs: HashMap<JobId, JobEntry>,
-    pub(crate) freelist: FreeList,
-    /// Reverse map: logical block → (job, node) for overload routing.
-    pub(crate) block_owner: HashMap<BlockId, (JobId, String)>,
-    pub(crate) counters: Counters,
+struct CtrlState {
+    /// The journaled tables; changed only by applying journal records,
+    /// except on the `StateRewritten` paths (drain, migration, failure).
+    tables: Tables,
     /// Heartbeat bookkeeping for the failure detector.
-    pub(crate) detector: FailureDetector,
+    detector: FailureDetector,
     /// Write-ahead metadata journal; appends happen under this same
-    /// state lock, after the mutation and before the ack.
-    pub(crate) journal: Journal,
-    /// Per-tenant QoS configuration (shares, quotas, rate limits);
-    /// journaled and mirrored into snapshots.
-    pub(crate) tenants: TenantDirectory,
+    /// state lock, after the records apply and before the ack.
+    journal: Journal,
     /// Latest per-tenant data-plane load reported by each server's
     /// heartbeat. Soft state: rebuilt from heartbeats after recovery.
-    pub(crate) server_loads: HashMap<ServerId, Vec<TenantLoad>>,
+    server_loads: HashMap<ServerId, Vec<TenantLoad>>,
     /// Set by [`Controller::halt`]: this instance is dead to the world.
-    pub(crate) halted: bool,
-    /// Answers to client-stamped mutations by request id (journaled).
-    pub(crate) answered: ReplayWindow<Vec<u8>>,
+    halted: bool,
 }
 
 /// Autoscaler wiring: the policy plus the provider that actually
@@ -452,6 +454,12 @@ impl ShardIdentity {
         }
     }
 
+    /// Empty journaled tables minting ids in this shard's residue class.
+    fn empty_tables(&self, cfg: &JiffyConfig) -> Tables {
+        let (index, count) = (u64::from(self.index), u64::from(self.count));
+        Tables::new(cfg.qos.clone(), index, count)
+    }
+
     /// The persistent-tier prefix under which this shard keeps its
     /// journal and snapshots. A one-shard control plane uses the plain
     /// `jiffy-meta/` layout, so stores written before sharding existed
@@ -498,7 +506,6 @@ pub struct Controller {
     state: Mutex<CtrlState>,
     dataplane: Arc<dyn DataPlane>,
     persistent: Arc<dyn ObjectStore>,
-    job_ids: IdGen,
     elastic: Mutex<ElasticHooks>,
     shard: ShardIdentity,
 }
@@ -544,28 +551,18 @@ impl Controller {
             cfg.meta_snapshot_every,
             &shard.meta_prefix(),
         );
-        let tenants = TenantDirectory::new(cfg.qos.clone());
-        let freelist = FreeList::new();
-        freelist.set_id_stride(u64::from(shard.index), u64::from(shard.count));
-        let job_ids = IdGen::strided(u64::from(shard.index), u64::from(shard.count));
         Ok(Arc::new(Self {
-            cfg,
-            clock,
             state: Mutex::new(CtrlState {
-                jobs: HashMap::new(),
-                freelist,
-                block_owner: HashMap::new(),
-                counters: Counters::default(),
+                tables: shard.empty_tables(&cfg),
                 detector: FailureDetector::new(),
                 journal,
-                tenants,
                 server_loads: HashMap::new(),
                 halted: false,
-                answered: journal::answer_window(),
             }),
+            cfg,
+            clock,
             dataplane,
             persistent,
-            job_ids,
             elastic: Mutex::new(ElasticHooks::default()),
             shard,
         }))
@@ -613,18 +610,17 @@ impl Controller {
         shard: ShardIdentity,
     ) -> Result<Arc<Self>> {
         cfg.validate()?;
-        let rec = journal::recover_from(persistent.as_ref(), &shard.meta_prefix())?;
+        let (mut tables, next_seq) = journal::recover_from(
+            persistent.as_ref(),
+            &shard.meta_prefix(),
+            shard.empty_tables(&cfg),
+        )?;
         let now = clock.now();
-        let mut jobs = rec.jobs;
-        for entry in jobs.values_mut() {
-            for name in entry.hierarchy.names() {
-                if let Some(node) = entry.hierarchy.get_mut(&name) {
-                    node.last_renewal = now;
-                }
-            }
+        for entry in tables.jobs.values_mut() {
+            entry.hierarchy.rearm_leases(now);
         }
         let mut detector = FailureDetector::new();
-        for load in rec.freelist.server_loads() {
+        for load in tables.freelist.server_loads() {
             if load.state != ServerState::Dead {
                 detector.record(load.server, now);
             }
@@ -632,18 +628,9 @@ impl Controller {
         let journal = Journal::resuming(
             persistent.clone(),
             cfg.meta_snapshot_every,
-            rec.next_seq,
+            next_seq,
             &shard.meta_prefix(),
         );
-        let mut tenants = TenantDirectory::new(cfg.qos.clone());
-        tenants.install(rec.tenants);
-        // Checkpointed id frontiers resume in this shard's residue class
-        // (a frontier written by this shard is already in class; the
-        // stride re-aligns defensively either way).
-        rec.freelist
-            .set_id_stride(u64::from(shard.index), u64::from(shard.count));
-        let job_ids = IdGen::starting_at(rec.next_job_id);
-        job_ids.set_stride(u64::from(shard.index), u64::from(shard.count));
         // Clients may hold cache entries from before the crash; one bump
         // forces them back through resolve on their next access.
         shard.epoch.fetch_add(1, Ordering::SeqCst);
@@ -651,21 +638,15 @@ impl Controller {
             cfg,
             clock,
             state: Mutex::new(CtrlState {
-                jobs,
-                freelist: rec.freelist,
-                block_owner: rec.block_owner,
-                counters: rec.counters,
+                tables,
                 detector,
                 journal,
-                tenants,
                 // Soft state: rebuilt from the next round of heartbeats.
                 server_loads: HashMap::new(),
                 halted: false,
-                answered: rec.answered,
             }),
             dataplane,
             persistent,
-            job_ids,
             elastic: Mutex::new(ElasticHooks::default()),
             shard,
         }))
@@ -676,40 +657,39 @@ impl Controller {
         &self.cfg
     }
 
-    /// Appends `ops` to the write-ahead journal as one atomic batch,
-    /// then snapshots/truncates if the record budget is used up. Called
-    /// under the state lock, after the in-memory mutation and before
-    /// the ack; an empty batch is a no-op (the operation turned out not
-    /// to mutate anything). A trailing `Answered` enters the replay
-    /// window before any snapshot, which must cover it.
-    fn journal_append(&self, st: &mut CtrlState, ops: Vec<JournalOp>) -> Result<()> {
+    /// Applies `ops` to the tables with the same [`Tables::apply_op`]
+    /// replay uses, then appends them to the write-ahead journal as one
+    /// atomic batch and snapshots/truncates if the record budget is used
+    /// up. A `StateRewritten` record is not applied: its mirror was taken
+    /// from the tables it would install, which drain, migration and
+    /// failure handling mutate in place. An empty batch is a no-op.
+    fn apply_and_journal(&self, st: &mut CtrlState, ops: Vec<JournalOp>) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
         }
-        let bumps_epoch = ops.iter().any(invalidates_placement);
-        let answer = match ops.last() {
-            Some(JournalOp::Answered { rid, resp }) => Some((*rid, jiffy_proto::to_bytes(resp)?)),
-            _ => None,
-        };
-        st.journal.append(ops)?;
-        if let Some((rid, answer)) = answer {
-            journal::record_answer(&mut st.answered, rid, answer);
+        for op in &ops {
+            if !matches!(op, JournalOp::StateRewritten { .. }) {
+                st.tables.apply_op(op)?;
+            }
         }
+        let bumps_epoch = ops.iter().any(invalidates_placement);
+        st.journal.append(ops)?;
         if bumps_epoch {
             // Placement changed durably: advance the shared view epoch
             // so every shard's next response invalidates client caches.
             self.shard.epoch.fetch_add(1, Ordering::SeqCst);
         }
         if st.journal.snapshot_due() {
-            let mirror = journal::mirror_of(st, self.job_ids.current());
+            let mirror = st.tables.mirror();
             st.journal.write_snapshot(&mirror)?;
         }
         Ok(())
     }
 
-    /// Journals a mutation and acks it with `resp`. For a client-stamped
-    /// `rid` the answer rides in the same batch (`Answered`), so a retry
-    /// is answered from the replay window. No-op mutations record nothing.
+    /// Applies and journals a decided mutation, then acks it with `resp`.
+    /// For a client-stamped `rid` the answer rides in the same batch
+    /// (`Answered`), so a retry is answered from the replay window.
+    /// No-op mutations record nothing.
     fn commit(
         &self,
         st: &mut CtrlState,
@@ -723,31 +703,29 @@ impl Controller {
                 resp: resp.clone(),
             });
         }
-        self.journal_append(st, ops)?;
+        self.apply_and_journal(st, ops)?;
         Ok(resp)
     }
 
     /// A `StateRewritten` journal record capturing the full current
     /// state; used by multi-step transitions (drains, failure handling)
     /// whose outcomes are impractical to log record-by-record.
-    fn rewrite_op(&self, st: &CtrlState) -> Result<JournalOp> {
-        let mirror = journal::mirror_of(st, self.job_ids.current());
+    fn rewrite_op(st: &CtrlState) -> Result<JournalOp> {
         Ok(JournalOp::StateRewritten {
-            mirror: jiffy_proto::to_bytes(&mirror)?,
+            mirror: jiffy_proto::to_bytes(&st.tables.mirror())?,
         })
     }
 
     /// A deterministic serialization of the controller's entire
     /// metadata state (tests compare live vs. recovered controllers).
     pub fn state_mirror(&self) -> StateMirror {
-        let st = self.state.lock();
-        journal::mirror_of(&st, self.job_ids.current())
+        self.state.lock().tables.mirror()
     }
 
     /// The current tenant limit table (what heartbeat acks piggyback to
     /// the memory servers).
     pub fn tenant_limits(&self) -> Vec<jiffy_proto::TenantLimit> {
-        self.state.lock().tenants.snapshot()
+        self.state.lock().tables.tenants.snapshot()
     }
 
     /// Forces a snapshot + journal truncation right now, regardless of
@@ -758,7 +736,7 @@ impl Controller {
     /// Object-store write failures.
     pub fn snapshot_now(&self) -> Result<()> {
         let mut st = self.state.lock();
-        let mirror = journal::mirror_of(&st, self.job_ids.current());
+        let mirror = st.tables.mirror();
         // The snapshot write and journal truncation must be atomic
         // w.r.t. concurrent appends, which serialize on this lock.
         // xtask-allow(no-guard-across-rpc): snapshot+truncate is atomic with appends (DESIGN.md §11)
@@ -770,10 +748,11 @@ impl Controller {
     /// crash-point sweep tests after every recovery.
     pub fn check_invariants(&self) -> Vec<String> {
         let st = self.state.lock();
+        let tables = &st.tables;
         let mut out = Vec::new();
         let mut seen_heads: HashSet<BlockId> = HashSet::new();
         let count = u64::from(self.shard.count);
-        for (job, entry) in &st.jobs {
+        for (job, entry) in &tables.jobs {
             // The router sends a job to shard `job % count` only.
             if job.raw() % count != u64::from(self.shard.index) {
                 out.push(format!(
@@ -796,7 +775,7 @@ impl Controller {
                 let Some(meta) = &node.ds else { continue };
                 for loc in meta.locations() {
                     seen_heads.insert(loc.id());
-                    match st.block_owner.get(&loc.id()) {
+                    match tables.block_owner.get(&loc.id()) {
                         Some((j, n)) if *j == *job && *n == name => {}
                         Some((j, n)) => out.push(format!(
                             "block {} of {name} owned by ({}, {n}) instead",
@@ -809,7 +788,7 @@ impl Controller {
                         )),
                     }
                     for replica in &loc.chain {
-                        if st.freelist.is_free(replica.block) {
+                        if tables.freelist.is_free(replica.block) {
                             out.push(format!(
                                 "replica block {} of {name} is on the freelist",
                                 replica.block.raw()
@@ -819,7 +798,7 @@ impl Controller {
                 }
             }
         }
-        for block in st.block_owner.keys() {
+        for block in tables.block_owner.keys() {
             if !seen_heads.contains(block) {
                 out.push(format!(
                     "block_owner entry {} points at no live prefix block",
@@ -873,10 +852,10 @@ impl Controller {
                 return Err(JiffyError::shard_unavailable(self.shard.index));
             }
             // Only client rids are ever recorded, so others always miss.
-            if let Some(answer) = st.answered.lookup(rid) {
+            if let Some(answer) = st.tables.answered.lookup(rid) {
                 return jiffy_proto::from_bytes(answer);
             }
-            st.counters.ops_served += 1;
+            st.tables.counters.ops_served += 1;
             // Journal appends must run under the state lock so journal
             // order equals mutation order; flush/load object-store
             // copies ride the same serialization.
@@ -894,9 +873,14 @@ impl Controller {
         resp
     }
 
-    /// The lock-held half of [`Controller::dispatch`]. Destructive
-    /// data-plane resets are *deferred* via `deferred_resets` so no
-    /// transport call runs while the state guard is live.
+    /// The lock-held half of [`Controller::dispatch`]. Each mutating arm
+    /// *decides* against `&st` — validates the whole request, mints ids,
+    /// picks blocks, builds its reply — then runs its data-plane effects,
+    /// then hands its records to `commit`, which applies and journals
+    /// them. A request that fails before `commit` leaves no trace.
+    /// Destructive data-plane resets are *deferred* via
+    /// `deferred_resets` so no transport call runs while the state guard
+    /// is live.
     fn dispatch_locked(
         &self,
         st: &mut CtrlState,
@@ -907,37 +891,12 @@ impl Controller {
     ) -> Result<ControlResponse> {
         match req {
             ControlRequest::RegisterJob { name } => {
-                let job: JobId = self.job_ids.next_id();
-                st.jobs.insert(
-                    job,
-                    JobEntry {
-                        name: name.clone(),
-                        hierarchy: AddressHierarchy::new(),
-                        tenant,
-                    },
-                );
+                let job = JobId(st.tables.job_ids.current());
                 let ops = vec![JournalOp::JobRegistered { job, name, tenant }];
                 self.commit(st, rid, ops, ControlResponse::JobRegistered { job })
             }
             ControlRequest::DeregisterJob { job } => {
-                let entry = st
-                    .jobs
-                    .remove(&job)
-                    .ok_or(JiffyError::UnknownJob(job.raw()))?;
-                let mut locs = Vec::new();
-                for name in entry.hierarchy.names() {
-                    if let Some(node) = entry.hierarchy.get(&name) {
-                        if let Some(meta) = &node.ds {
-                            for loc in meta.locations() {
-                                for replica in &loc.chain {
-                                    st.block_owner.remove(&replica.block);
-                                    let _ = st.freelist.release(replica.block);
-                                }
-                                locs.push(loc);
-                            }
-                        }
-                    }
-                }
+                let locs = st.tables.job(job)?.locations();
                 // Journal before the destructive data-plane resets
                 // (which the caller performs after unlocking).
                 let ops = vec![JournalOp::JobDeregistered { job }];
@@ -952,46 +911,39 @@ impl Controller {
                 ds,
                 initial_blocks,
             } => {
-                let ops = self.create_prefix(st, job, &name, &parents, ds, initial_blocks)?;
-                self.commit(st, rid, ops, ControlResponse::PrefixCreated { name })
+                let node = DagNodeSpec {
+                    name,
+                    parents,
+                    ds,
+                    initial_blocks,
+                };
+                let ops = self.create_nodes(st, job, std::slice::from_ref(&node))?;
+                self.commit(
+                    st,
+                    rid,
+                    ops,
+                    ControlResponse::PrefixCreated { name: node.name },
+                )
             }
             ControlRequest::AddParent { job, name, parent } => {
-                let entry = st
-                    .jobs
-                    .get_mut(&job)
-                    .ok_or(JiffyError::UnknownJob(job.raw()))?;
-                entry.hierarchy.add_parent(&name, &parent)?;
                 let ops = vec![JournalOp::ParentAdded { job, name, parent }];
                 self.commit(st, rid, ops, ControlResponse::Ack)
             }
             ControlRequest::CreateHierarchy { job, nodes } => {
-                let mut ops = Vec::new();
-                for spec in &nodes {
-                    let DagNodeSpec {
-                        name,
-                        parents,
-                        ds,
-                        initial_blocks,
-                    } = spec;
-                    ops.extend(self.create_prefix(st, job, name, parents, *ds, *initial_blocks)?);
-                }
+                let ops = self.create_nodes(st, job, &nodes)?;
                 self.commit(st, rid, ops, ControlResponse::Ack)
             }
             ControlRequest::RemovePrefix { job, name } => {
-                let locs = self.reclaim_prefix(st, job, &name, false, None)?;
-                let entry = st
-                    .jobs
-                    .get_mut(&job)
-                    .ok_or(JiffyError::UnknownJob(job.raw()))?;
-                entry.hierarchy.remove_node(&name)?;
+                let hierarchy = &st.tables.job(job)?.hierarchy;
+                let name = hierarchy.resolve_name(&name)?;
+                let locs = hierarchy.resolve(&name)?.ds.as_ref().map(DsMeta::locations);
                 let ops = vec![JournalOp::PrefixRemoved { job, name }];
                 let resp = self.commit(st, rid, ops, ControlResponse::Ack)?;
-                deferred_resets.extend(locs);
+                deferred_resets.extend(locs.unwrap_or_default());
                 Ok(resp)
             }
             ControlRequest::ResolvePrefix { job, name } => {
-                let entry = st.jobs.get(&job).ok_or(JiffyError::UnknownJob(job.raw()))?;
-                let node = entry.hierarchy.resolve(&name)?;
+                let node = st.tables.job(job)?.hierarchy.resolve(&name)?;
                 Ok(ControlResponse::Resolved(PrefixView {
                     name: node.name.clone(),
                     ds: node.ds.as_ref().map(DsMeta::ds_type),
@@ -1003,26 +955,21 @@ impl Controller {
                 }))
             }
             ControlRequest::RenewLease { job, name } => {
-                let now = self.clock.now();
-                let entry = st
-                    .jobs
-                    .get_mut(&job)
-                    .ok_or(JiffyError::UnknownJob(job.raw()))?;
-                let renewed = entry.hierarchy.renew(&name, now)?;
+                let hierarchy = &st.tables.job(job)?.hierarchy;
+                let name = hierarchy.resolve_name(&name)?;
+                let resp = ControlResponse::LeaseRenewed {
+                    renewed: hierarchy.renewal_closure(&name)?,
+                    lease_duration_micros: self.cfg.lease_duration.as_micros() as u64,
+                };
                 let ops = vec![JournalOp::LeaseRenewed {
                     job,
                     name,
-                    now_micros: u64::try_from(now.as_micros()).unwrap_or(u64::MAX),
+                    now_micros: journal::micros(self.clock.now()),
                 }];
-                let resp = ControlResponse::LeaseRenewed {
-                    renewed,
-                    lease_duration_micros: self.cfg.lease_duration.as_micros() as u64,
-                };
                 self.commit(st, rid, ops, resp)
             }
             ControlRequest::GetLeaseDuration { job, name } => {
-                let entry = st.jobs.get(&job).ok_or(JiffyError::UnknownJob(job.raw()))?;
-                entry.hierarchy.resolve(&name)?;
+                st.tables.job(job)?.hierarchy.resolve(&name)?;
                 Ok(ControlResponse::LeaseDuration {
                     micros: self.cfg.lease_duration.as_micros() as u64,
                 })
@@ -1032,8 +979,7 @@ impl Controller {
                 name,
                 external_path,
             } => {
-                let (bytes, ops) =
-                    self.flush_prefix(st, job, &name, &external_path, false, false)?;
+                let (bytes, ops, _) = self.flush_prefix(st, job, &name, &external_path, false)?;
                 self.commit(st, rid, ops, ControlResponse::Persisted { bytes })
             }
             ControlRequest::LoadPrefix {
@@ -1049,28 +995,25 @@ impl Controller {
                 capacity_blocks,
             } => {
                 let now = self.clock.now();
-                let (server, blocks) = st.freelist.register_server(addr.clone(), capacity_blocks);
-                st.detector.record(server, now);
+                let (server, blocks) = st.tables.freelist.mint_server(capacity_blocks);
                 let ops = vec![JournalOp::ServerJoined {
                     server,
                     addr,
                     blocks: blocks.clone(),
-                    now_micros: u64::try_from(now.as_micros()).unwrap_or(u64::MAX),
+                    now_micros: journal::micros(now),
                 }];
-                self.commit(
-                    st,
-                    rid,
-                    ops,
-                    ControlResponse::ServerJoined { server, blocks },
-                )
+                let resp = ControlResponse::ServerJoined { server, blocks };
+                let resp = self.commit(st, rid, ops, resp)?;
+                st.detector.record(server, now);
+                Ok(resp)
             }
             ControlRequest::LeaveServer { server } => {
                 let blocks_migrated = self.drain_server_locked(st, server)?;
-                st.freelist.deregister_server(server)?;
+                st.tables.freelist.deregister_server(server)?;
                 st.detector.forget(server);
                 // Drained state is a multi-step outcome; checkpoint it
                 // wholesale rather than record-by-record.
-                let ops = vec![self.rewrite_op(st)?];
+                let ops = vec![Self::rewrite_op(st)?];
                 let resp = ControlResponse::Drained {
                     server,
                     blocks_migrated,
@@ -1084,7 +1027,7 @@ impl Controller {
             } => {
                 // Only live members may heartbeat; a departed or dead
                 // server gets UnknownServer and must re-join.
-                match st.freelist.state_of(server)? {
+                match st.tables.freelist.state_of(server)? {
                     ServerState::Alive | ServerState::Draining => {
                         st.detector.record(server, self.clock.now());
                         // Piggyback the QoS control loop on the existing
@@ -1094,13 +1037,15 @@ impl Controller {
                         // heartbeat interval.
                         st.server_loads.insert(server, tenant_loads);
                         Ok(ControlResponse::HeartbeatAck {
-                            limits: st.tenants.snapshot(),
+                            limits: st.tables.tenants.snapshot(),
                         })
                     }
                     ServerState::Dead => Err(JiffyError::UnknownServer(server.raw())),
                 }
             }
-            ControlRequest::ListServers => Ok(ControlResponse::Servers(st.freelist.server_infos())),
+            ControlRequest::ListServers => {
+                Ok(ControlResponse::Servers(st.tables.freelist.server_infos()))
+            }
             ControlRequest::ReportOverload { block, .. } => {
                 let (target, spec, ops) = self.handle_overload(st, block)?;
                 self.commit(st, rid, ops, ControlResponse::SplitTarget { target, spec })
@@ -1123,10 +1068,9 @@ impl Controller {
                 Ok(ControlResponse::Ack)
             }
             ControlRequest::GetStats => Ok(ControlResponse::Stats(self.stats_locked(st))),
-            ControlRequest::ListPrefixes { job } => {
-                let entry = st.jobs.get(&job).ok_or(JiffyError::UnknownJob(job.raw()))?;
-                Ok(ControlResponse::Prefixes(entry.hierarchy.names()))
-            }
+            ControlRequest::ListPrefixes { job } => Ok(ControlResponse::Prefixes(
+                st.tables.job(job)?.hierarchy.names(),
+            )),
             ControlRequest::TenantStats => Ok(ControlResponse::TenantStatsReport(
                 self.tenant_stats_locked(st),
             )),
@@ -1137,8 +1081,6 @@ impl Controller {
                 ops_per_sec,
                 bytes_per_sec,
             } => {
-                st.tenants
-                    .set(target, share, quota_bytes, ops_per_sec, bytes_per_sec);
                 let ops = vec![JournalOp::TenantConfigured {
                     tenant: target,
                     share: share.max(1),
@@ -1154,22 +1096,9 @@ impl Controller {
     /// Blocks currently allocated to `tenant`, counting every replica in
     /// every chain of every prefix of the tenant's jobs.
     fn tenant_usage_blocks(st: &CtrlState, tenant: TenantId) -> u64 {
-        let mut blocks = 0u64;
-        for entry in st.jobs.values() {
-            if entry.tenant != tenant {
-                continue;
-            }
-            for name in entry.hierarchy.names() {
-                let Some(node) = entry.hierarchy.get(&name) else {
-                    continue;
-                };
-                let Some(meta) = &node.ds else { continue };
-                for loc in meta.locations() {
-                    blocks += loc.chain.len() as u64;
-                }
-            }
-        }
-        blocks
+        let jobs = st.tables.jobs.values().filter(|e| e.tenant == tenant);
+        let locs = jobs.flat_map(JobEntry::locations);
+        locs.map(|loc| loc.chain.len() as u64).sum()
     }
 
     /// Admission check for allocating `new_blocks` more blocks on behalf
@@ -1184,12 +1113,21 @@ impl Controller {
     ///    tenant share; a tenant already at or beyond its fair share is
     ///    deferred with a retryable [`JiffyError::Throttled`] instead of
     ///    draining the pool first-come-first-served.
-    fn check_allocation(&self, st: &CtrlState, tenant: TenantId, new_blocks: u64) -> Result<()> {
+    ///
+    /// `pending` blocks the same request already picked count as the
+    /// tenant's and as no longer free.
+    fn check_allocation(
+        &self,
+        st: &CtrlState,
+        tenant: TenantId,
+        new_blocks: u64,
+        pending: u64,
+    ) -> Result<()> {
         if !self.cfg.qos.enabled || tenant.is_anonymous() || new_blocks == 0 {
             return Ok(());
         }
-        let usage = Self::tenant_usage_blocks(st, tenant);
-        let limit = st.tenants.effective(tenant);
+        let usage = Self::tenant_usage_blocks(st, tenant) + pending;
+        let limit = st.tables.tenants.effective(tenant);
         if limit.quota_bytes > 0 {
             let want_bytes = (usage + new_blocks).saturating_mul(self.cfg.block_size as u64);
             if want_bytes > limit.quota_bytes {
@@ -1200,8 +1138,8 @@ impl Controller {
                 });
             }
         }
-        let total = st.freelist.total_count() as u64;
-        let free = st.freelist.free_count() as u64;
+        let total = st.tables.freelist.total_count() as u64;
+        let free = (st.tables.freelist.free_count() as u64).saturating_sub(pending);
         if total == 0 {
             return Ok(());
         }
@@ -1214,11 +1152,11 @@ impl Controller {
         // and hold this tenant to its fair slice.
         let mut demands: BTreeMap<TenantId, (u32, u64)> = BTreeMap::new();
         let anonymous_usage = Self::tenant_usage_blocks(st, TenantId::ANONYMOUS);
-        for entry in st.jobs.values() {
+        for entry in st.tables.jobs.values() {
             if entry.tenant.is_anonymous() || demands.contains_key(&entry.tenant) {
                 continue;
             }
-            let share = st.tenants.effective(entry.tenant).share;
+            let share = st.tables.tenants.effective(entry.tenant).share;
             demands.insert(
                 entry.tenant,
                 (share, Self::tenant_usage_blocks(st, entry.tenant)),
@@ -1248,9 +1186,10 @@ impl Controller {
     /// appearing in server load reports.
     fn tenant_stats_locked(&self, st: &CtrlState) -> Vec<TenantStatsEntry> {
         let mut ids: BTreeSet<TenantId> = BTreeSet::new();
-        ids.extend(st.tenants.configured().map(|l| l.tenant));
+        ids.extend(st.tables.tenants.configured().map(|l| l.tenant));
         ids.extend(
-            st.jobs
+            st.tables
+                .jobs
                 .values()
                 .map(|e| e.tenant)
                 .filter(|t| !t.is_anonymous()),
@@ -1260,7 +1199,7 @@ impl Controller {
         }
         ids.into_iter()
             .map(|tenant| {
-                let limit = st.tenants.effective(tenant);
+                let limit = st.tables.tenants.effective(tenant);
                 let blocks = Self::tenant_usage_blocks(st, tenant);
                 let mut entry = TenantStatsEntry {
                     tenant,
@@ -1288,115 +1227,91 @@ impl Controller {
             .collect()
     }
 
-    fn create_prefix(
+    /// Decides the creation of `nodes` in `job` (a `CreatePrefix` is a
+    /// one-node hierarchy) and runs its effects: validates every node
+    /// against the hierarchy — each name new, each parent existing or
+    /// earlier in the list — gates and picks every chain, initializes the
+    /// blocks, and returns one `PrefixCreated` per node.
+    fn create_nodes(
         &self,
-        st: &mut CtrlState,
+        st: &CtrlState,
         job: JobId,
-        name: &str,
-        parents: &[String],
-        ds: Option<DsType>,
-        initial_blocks: u32,
+        nodes: &[DagNodeSpec],
     ) -> Result<Vec<JournalOp>> {
-        let now = self.clock.now();
-        let owner = st
-            .jobs
-            .get(&job)
-            .map(|e| e.tenant)
-            .ok_or(JiffyError::UnknownJob(job.raw()))?;
-        // Quota/fair-share gate runs before any mutation so a denied
-        // request leaves no half-created node to roll back.
-        if ds.is_some() {
-            let chains = u64::from(initial_blocks.max(1));
-            self.check_allocation(st, owner, chains * self.cfg.chain_length as u64)?;
-        }
-        let entry = st
-            .jobs
-            .get_mut(&job)
-            .ok_or(JiffyError::UnknownJob(job.raw()))?;
-        entry.hierarchy.add_node(name, parents, now)?;
-        if let Some(ds) = ds {
-            let total = initial_blocks.max(1);
-            let mut meta = DsMeta::new(ds, self.cfg.block_size, self.cfg.kv_hash_slots);
-            let mut locs = Vec::with_capacity(total as usize);
-            for i in 0..total {
-                let params = meta.initial_params(i, total)?;
-                let loc = match st.freelist.allocate_chain(self.cfg.chain_length) {
-                    Ok(l) => l,
-                    Err(e) => {
-                        // Roll back: free what we grabbed and drop the node.
-                        for loc in &locs {
-                            let l: &BlockLocation = loc;
-                            for r in &l.chain {
-                                let _ = st.freelist.release(r.block);
-                            }
-                        }
-                        let _ = entry.hierarchy.remove_node(name);
-                        return Err(e);
-                    }
-                };
-                self.dataplane.init_block(&loc, ds, &params)?;
-                st.block_owner.insert(loc.id(), (job, name.to_string()));
-                locs.push(loc);
-            }
-            let recorded_locs = locs.clone();
-            meta.install_initial(locs);
-            let skeleton = jiffy_proto::to_bytes(&meta.skeleton())?;
-            #[allow(clippy::expect_used)] // invariant documented in the message
-            let entry = st
-                .jobs
-                .get_mut(&job)
-                .expect("invariant: job presence verified above under the same state lock");
-            #[allow(clippy::expect_used)] // invariant documented in the message
-            let node = entry
+        let now_micros = journal::micros(self.clock.now());
+        let entry = st.tables.job(job)?;
+        let chain = self.cfg.chain_length;
+        let mut pending: Vec<&str> = Vec::with_capacity(nodes.len());
+        let mut picked: Vec<BlockId> = Vec::new();
+        // A data-structure node's layout and `(chain, init params)` pairs.
+        type Layout = (DsMeta, Vec<(BlockLocation, Vec<u8>)>);
+        let mut layouts: Vec<Option<Layout>> = Vec::new();
+        for node in nodes {
+            entry
                 .hierarchy
-                .get_mut(name)
-                .expect("invariant: node inserted above under the same state lock");
-            node.ds = Some(meta);
-            return Ok(vec![JournalOp::PrefixCreated {
-                job,
-                name: name.to_string(),
-                parents: parents.to_vec(),
-                locs: recorded_locs,
-                skeleton: Some(skeleton),
-                now_micros: u64::try_from(now.as_micros()).unwrap_or(u64::MAX),
-            }]);
+                .check_new_node(&node.name, &node.parents, &pending)?;
+            pending.push(&node.name);
+            let Some(ds) = node.ds else {
+                layouts.push(None);
+                continue;
+            };
+            // Quota/fair-share gate before any effect.
+            let total = node.initial_blocks.max(1);
+            let want = u64::from(total) * chain as u64;
+            self.check_allocation(st, entry.tenant, want, picked.len() as u64)?;
+            let meta = DsMeta::new(ds, self.cfg.block_size, self.cfg.kv_hash_slots);
+            let mut chains = Vec::with_capacity(total as usize);
+            for i in 0..total {
+                let loc = st.tables.freelist.pick_chain(chain, &picked)?;
+                picked.extend(loc.chain.iter().map(|r| r.block));
+                chains.push((loc, meta.initial_params(i, total)?));
+            }
+            layouts.push(Some((meta, chains)));
         }
-        Ok(vec![JournalOp::PrefixCreated {
-            job,
-            name: name.to_string(),
-            parents: parents.to_vec(),
-            locs: Vec::new(),
-            skeleton: None,
-            now_micros: u64::try_from(now.as_micros()).unwrap_or(u64::MAX),
-        }])
+        let mut ops = Vec::with_capacity(nodes.len());
+        for (node, layout) in nodes.iter().zip(layouts) {
+            let (locs, skeleton) = match layout {
+                Some((mut meta, chains)) => {
+                    for (loc, params) in &chains {
+                        self.dataplane.init_block(loc, meta.ds_type(), params)?;
+                    }
+                    let locs: Vec<BlockLocation> = chains.into_iter().map(|(l, _)| l).collect();
+                    meta.install_initial(locs.clone());
+                    (locs, Some(jiffy_proto::to_bytes(&meta.skeleton())?))
+                }
+                None => (Vec::new(), None),
+            };
+            ops.push(JournalOp::PrefixCreated {
+                job,
+                name: node.name.clone(),
+                parents: node.parents.clone(),
+                locs,
+                skeleton,
+                now_micros,
+            });
+        }
+        Ok(ops)
     }
 
-    /// Flushes a prefix's blocks to the persistent tier, returning bytes
-    /// written plus the journal ops for the caller to append. With
-    /// `reclaim` (lease-expiry path), also frees the blocks — in that
-    /// case the journal record is appended *here*, after the flush
-    /// object is durable and before the data-plane resets, so a crash
-    /// anywhere in between never loses the only copy; the returned op
-    /// list is then empty.
+    /// Flushes prefix `path` of `job` to `external_path` in the persistent
+    /// tier (the effect), and decides its record: bytes written, the
+    /// `PrefixFlushed` record (none for a prefix without data) and the
+    /// flushed chains. With `reclaim` (the lease-expiry path) the record
+    /// also frees the blocks; the caller commits it only once the flush
+    /// object is durable — here — and resets the chains after the commit,
+    /// so a crash anywhere in between never loses the only copy.
     fn flush_prefix(
         &self,
-        st: &mut CtrlState,
+        st: &CtrlState,
         job: JobId,
-        name: &str,
+        path: &str,
         external_path: &str,
         reclaim: bool,
-        expired: bool,
-    ) -> Result<(u64, Vec<JournalOp>)> {
-        let entry = st
-            .jobs
-            .get_mut(&job)
-            .ok_or(JiffyError::UnknownJob(job.raw()))?;
-        let node = entry.hierarchy.resolve_mut(name)?;
+    ) -> Result<(u64, Vec<JournalOp>, Vec<BlockLocation>)> {
+        let node = st.tables.job(job)?.hierarchy.resolve(path)?;
         let Some(meta) = &node.ds else {
-            return Ok((0, Vec::new()));
+            return Ok((0, Vec::new(), Vec::new()));
         };
-        let ds = meta.ds_type();
-        let skeleton = meta.skeleton();
         let locations = meta.locations();
         let mut payloads = Vec::with_capacity(locations.len());
         let mut bytes = 0u64;
@@ -1409,119 +1324,61 @@ impl Controller {
             payloads.push(Blob::new(payload));
         }
         let record = FlushRecord {
-            ds,
-            skeleton,
+            ds: meta.ds_type(),
+            skeleton: meta.skeleton(),
             payloads,
         };
         self.persistent
             .put(external_path, &jiffy_proto::to_bytes(&record)?)?;
-        #[allow(clippy::expect_used)] // invariant documented in the message
-        let node = st
-            .jobs
-            .get_mut(&job)
-            .expect("invariant: job resolved above under the same state lock")
-            .hierarchy
-            .resolve_mut(name)
-            .expect("invariant: prefix resolved above under the same state lock");
-        node.flushed_to = Some(external_path.to_string());
         let op = JournalOp::PrefixFlushed {
             job,
-            name: name.to_string(),
+            name: node.name.clone(),
             path: external_path.to_string(),
             reclaimed: reclaim,
-            expired,
+            expired: reclaim,
         };
-        if !reclaim {
-            return Ok((bytes, vec![op]));
-        }
-        node.ds = None;
-        node.version += 1;
-        for loc in &locations {
-            for r in &loc.chain {
-                st.block_owner.remove(&r.block);
-                let _ = st.freelist.release(r.block);
-            }
-        }
-        if expired {
-            st.counters.leases_expired += 1;
-        }
-        // The flush object is durable and the metadata reflects the
-        // reclaim; journal now, then clear the blocks. A crash before
-        // the append replays to the pre-reclaim state, whose blocks
-        // still hold the data; a crash after it only leaves stale block
-        // contents for re-initialization to clear.
-        self.journal_append(st, vec![op])?;
-        for loc in &locations {
-            let _ = self.dataplane.reset_block(loc);
-        }
-        Ok((bytes, Vec::new()))
+        Ok((bytes, vec![op], locations))
     }
 
-    /// Loads a previously flushed prefix back into fresh blocks,
-    /// returning bytes read plus the journal ops for the caller to
-    /// append.
+    /// Loads a previously flushed prefix back into fresh blocks (the
+    /// effects), returning bytes read plus the `PrefixLoaded` record.
     fn load_prefix(
         &self,
-        st: &mut CtrlState,
+        st: &CtrlState,
         job: JobId,
-        name: &str,
+        path: &str,
         external_path: &str,
     ) -> Result<(u64, Vec<JournalOp>)> {
-        let record_bytes = self.persistent.get(external_path)?;
-        let record: FlushRecord = jiffy_proto::from_bytes(&record_bytes)?;
-        {
-            let entry = st
-                .jobs
-                .get_mut(&job)
-                .ok_or(JiffyError::UnknownJob(job.raw()))?;
-            let node = entry.hierarchy.resolve_mut(name)?;
-            if node.ds.is_some() {
-                return Err(JiffyError::Internal(format!(
-                    "prefix {name} already has a live data structure; cannot load over it"
-                )));
-            }
+        let record: FlushRecord = jiffy_proto::from_bytes(&self.persistent.get(external_path)?)?;
+        let entry = st.tables.job(job)?;
+        let node = entry.hierarchy.resolve(path)?;
+        if node.ds.is_some() {
+            return Err(JiffyError::Internal(format!(
+                "prefix {path} already has a live data structure; cannot load over it"
+            )));
         }
         let n = record.payloads.len();
-        let owner = st.jobs.get(&job).map(|e| e.tenant).unwrap_or_default();
-        self.check_allocation(st, owner, (n as u64) * self.cfg.chain_length as u64)?;
+        let chain = self.cfg.chain_length;
+        self.check_allocation(st, entry.tenant, (n * chain) as u64, 0)?;
         let mut locs = Vec::with_capacity(n);
         for _ in 0..n {
-            locs.push(st.freelist.allocate_chain(self.cfg.chain_length)?);
+            let taken = journal::blocks_of(&locs);
+            locs.push(st.tables.freelist.pick_chain(chain, &taken)?);
         }
-        let meta = DsMeta::from_skeleton(&record.skeleton, locs.clone())?;
+        DsMeta::from_skeleton(&record.skeleton, locs.clone())?;
+        // Initialize empty, then absorb the flushed contents.
+        let params = empty_params(&record.skeleton)?;
         let mut bytes = 0u64;
         for (loc, payload) in locs.iter().zip(&record.payloads) {
-            // Initialize empty, then absorb the flushed contents.
-            let params = match &record.skeleton {
-                DsSkeleton::Kv { num_slots, .. } => jiffy_proto::to_bytes(&InitKvMirror {
-                    ranges: vec![],
-                    num_slots: *num_slots,
-                })?,
-                _ => Vec::new(),
-            };
             self.dataplane.init_block(loc, record.ds, &params)?;
             self.dataplane.import_payload(loc, payload, &[])?;
             bytes += payload.len() as u64;
-            st.block_owner.insert(loc.id(), (job, name.to_string()));
         }
-        #[allow(clippy::expect_used)] // invariant documented in the message
-        let entry = st
-            .jobs
-            .get_mut(&job)
-            .expect("invariant: job resolved above under the same state lock");
-        #[allow(clippy::expect_used)] // invariant documented in the message
-        let node = entry
-            .hierarchy
-            .resolve_mut(name)
-            .expect("invariant: prefix resolved above under the same state lock");
-        node.ds = Some(meta);
-        node.version += 1;
-        node.flushed_to = Some(external_path.to_string());
         // The record captures the skeleton as loaded: the flush object
         // may be overwritten later, so replay must not re-read it.
         let op = JournalOp::PrefixLoaded {
             job,
-            name: name.to_string(),
+            name: node.name.clone(),
             path: external_path.to_string(),
             locs,
             skeleton: jiffy_proto::to_bytes(&record.skeleton)?,
@@ -1529,78 +1386,38 @@ impl Controller {
         Ok((bytes, vec![op]))
     }
 
-    /// Reclaims a prefix's blocks (optionally flushing first). Used by
-    /// `RemovePrefix` and lease expiry. Returns the reclaimed locations
-    /// whose data-plane resets the caller must issue *after* journaling
-    /// the removal (the flush-first path journals internally and
-    /// returns an empty list).
-    fn reclaim_prefix(
-        &self,
-        st: &mut CtrlState,
-        job: JobId,
-        name: &str,
-        flush_first: bool,
-        flush_path: Option<String>,
-    ) -> Result<Vec<BlockLocation>> {
-        if flush_first {
-            let path =
-                flush_path.unwrap_or_else(|| format!("jiffy-expired/{}/{}", job.raw(), name));
-            self.flush_prefix(st, job, name, &path, true, true)?;
-            return Ok(Vec::new());
-        }
-        let entry = st
-            .jobs
-            .get_mut(&job)
-            .ok_or(JiffyError::UnknownJob(job.raw()))?;
-        let Ok(node) = entry.hierarchy.resolve_mut(name) else {
-            return Ok(Vec::new());
-        };
-        let locations = node.ds.as_ref().map(DsMeta::locations).unwrap_or_default();
-        node.ds = None;
-        node.version += 1;
-        for loc in &locations {
-            for r in &loc.chain {
-                st.block_owner.remove(&r.block);
-                let _ = st.freelist.release(r.block);
-            }
-        }
-        Ok(locations)
-    }
-
-    /// Handles an overload signal: allocate, initialize, order the split,
-    /// commit the new layout (paper Fig. 8). Also returns the journal
-    /// ops for the caller to append.
+    /// Handles an overload signal: pick a chain, initialize it, order the
+    /// split (paper Fig. 8), and return the `SplitCommitted` record that
+    /// commits the new layout.
     fn handle_overload(
         &self,
-        st: &mut CtrlState,
+        st: &CtrlState,
         block: BlockId,
     ) -> Result<(Option<BlockLocation>, Option<SplitSpec>, Vec<JournalOp>)> {
-        let Some((job, name)) = st.block_owner.get(&block).cloned() else {
+        let Some((job, name)) = st.tables.block_owner.get(&block).cloned() else {
             return Err(JiffyError::UnknownBlock(block.raw()));
         };
-        let entry = st.jobs.get(&job).ok_or(JiffyError::UnknownJob(job.raw()))?;
+        let entry = st.tables.job(job)?;
         let node = entry.hierarchy.resolve(&name)?;
         let Some(meta) = &node.ds else {
             return Err(JiffyError::UnknownBlock(block.raw()));
         };
-        let plan = match meta.plan_split(block) {
-            Ok(p) => p,
+        let Ok(plan) = meta.plan_split(block) else {
             // Unsplittable (single hot slot / stale signal): no target.
-            Err(_) => return Ok((None, None, Vec::new())),
+            return Ok((None, None, Vec::new()));
         };
-        let ds = meta.ds_type();
         // A split grows the owning tenant's footprint by one chain; a
         // quota- or share-bound tenant keeps serving from the hot block
         // instead of splitting (same graceful no-split as OutOfBlocks).
-        let owner = entry.tenant;
+        let chain = self.cfg.chain_length;
         if self
-            .check_allocation(st, owner, self.cfg.chain_length as u64)
+            .check_allocation(st, entry.tenant, chain as u64, 0)
             .is_err()
         {
             return Ok((None, None, Vec::new()));
         }
-        let source_loc = st.freelist.location_of(block)?;
-        let new_loc = match st.freelist.allocate_chain(self.cfg.chain_length) {
+        let source_loc = st.tables.freelist.location_of(block)?;
+        let new_loc = match st.tables.freelist.pick_chain(chain, &[]) {
             Ok(l) => l,
             // Capacity exhausted: the block keeps serving; writes beyond
             // its capacity will fail and spill at the tier above.
@@ -1608,29 +1425,9 @@ impl Controller {
             Err(e) => return Err(e),
         };
         self.dataplane
-            .init_block(&new_loc, ds, &plan.target_params)?;
+            .init_block(&new_loc, meta.ds_type(), &plan.target_params)?;
         self.dataplane
             .split_block(&source_loc, &plan.spec, plan.moves_data.then_some(&new_loc))?;
-        // Commit the layout.
-        #[allow(clippy::expect_used)] // invariant documented in the message
-        let entry = st
-            .jobs
-            .get_mut(&job)
-            .expect("invariant: job resolved above under the same state lock");
-        #[allow(clippy::expect_used)] // invariant documented in the message
-        let node = entry
-            .hierarchy
-            .resolve_mut(&name)
-            .expect("invariant: prefix resolved above under the same state lock");
-        #[allow(clippy::expect_used)] // invariant documented in the message
-        let meta = node
-            .ds
-            .as_mut()
-            .expect("invariant: ds presence verified when planning the split");
-        meta.commit_split(block, &plan.spec, new_loc.clone())?;
-        node.version += 1;
-        st.block_owner.insert(new_loc.id(), (job, name.clone()));
-        st.counters.splits += 1;
         let op = JournalOp::SplitCommitted {
             job,
             name,
@@ -1641,24 +1438,23 @@ impl Controller {
         Ok((Some(new_loc), Some(plan.spec), vec![op]))
     }
 
-    /// Handles an underload signal: order the merge, commit, reclaim the
-    /// drained block's metadata. Also returns the journal ops for the
-    /// caller to append, plus the source location whose *data-plane*
-    /// reset the caller must defer until after the append (resetting
+    /// Handles an underload signal: order the merge and return the
+    /// `MergeCommitted` record that commits it and reclaims the drained
+    /// block's metadata, plus the source location whose *data-plane*
+    /// reset the caller must defer until after the commit (resetting
     /// before the merge record is durable could orphan acked data).
-    fn handle_underload(&self, st: &mut CtrlState, block: BlockId) -> Result<UnderloadOutcome> {
-        let Some((job, name)) = st.block_owner.get(&block).cloned() else {
+    fn handle_underload(&self, st: &CtrlState, block: BlockId) -> Result<UnderloadOutcome> {
+        let Some((job, name)) = st.tables.block_owner.get(&block).cloned() else {
             return Err(JiffyError::UnknownBlock(block.raw()));
         };
-        let entry = st.jobs.get(&job).ok_or(JiffyError::UnknownJob(job.raw()))?;
-        let node = entry.hierarchy.resolve(&name)?;
+        let node = st.tables.job(job)?.hierarchy.resolve(&name)?;
         let Some(meta) = &node.ds else {
             return Err(JiffyError::UnknownBlock(block.raw()));
         };
         let Some(plan) = meta.plan_merge(block)? else {
             return Ok((None, None, Vec::new(), None));
         };
-        let source_loc = st.freelist.location_of(block)?;
+        let source_loc = st.tables.freelist.location_of(block)?;
         // Pick the first candidate with room for the source's contents
         // without immediately re-crossing the high threshold.
         let target = if plan.candidates.is_empty() {
@@ -1694,37 +1490,13 @@ impl Controller {
                 other => Err(other),
             };
         }
-        #[allow(clippy::expect_used)] // invariant documented in the message
-        let entry = st
-            .jobs
-            .get_mut(&job)
-            .expect("invariant: job resolved above under the same state lock");
-        #[allow(clippy::expect_used)] // invariant documented in the message
-        let node = entry
-            .hierarchy
-            .resolve_mut(&name)
-            .expect("invariant: prefix resolved above under the same state lock");
-        #[allow(clippy::expect_used)] // invariant documented in the message
-        let meta = node
-            .ds
-            .as_mut()
-            .expect("invariant: ds presence verified when planning the merge");
-        meta.commit_merge(block, &plan.spec, target.as_ref())?;
-        node.version += 1;
-        let mut released = Vec::with_capacity(source_loc.chain.len());
-        for r in &source_loc.chain {
-            st.block_owner.remove(&r.block);
-            let _ = st.freelist.release(r.block);
-            released.push(r.block);
-        }
-        st.counters.merges += 1;
         let op = JournalOp::MergeCommitted {
             job,
             name,
             source: block,
             spec: plan.spec.clone(),
             target: target.clone(),
-            released,
+            released: journal::blocks_of(std::slice::from_ref(&source_loc)),
         };
         Ok((target, Some(plan.spec), vec![op], Some(source_loc)))
     }
@@ -1733,7 +1505,7 @@ impl Controller {
     /// its owning job and prefix. Linear in the number of live chains;
     /// only walked on the (rare) drain and failure paths.
     fn find_chain_of(st: &CtrlState, block: BlockId) -> Option<(JobId, String, BlockLocation)> {
-        for (job, entry) in &st.jobs {
+        for (job, entry) in &st.tables.jobs {
             for name in entry.hierarchy.names() {
                 let Some(node) = entry.hierarchy.get(&name) else {
                     continue;
@@ -1770,20 +1542,12 @@ impl Controller {
         // absorb the frozen image (the export carries all chunk / range
         // state, so KV mirrors start with no owned ranges).
         let (ds, params) = {
-            let entry = st.jobs.get(&job).ok_or(JiffyError::UnknownJob(job.raw()))?;
-            let node = entry.hierarchy.resolve(name)?;
+            let node = st.tables.job(job)?.hierarchy.resolve(name)?;
             let meta = node
                 .ds
                 .as_ref()
                 .ok_or(JiffyError::UnknownBlock(old_loc.id().raw()))?;
-            let params = match meta.skeleton() {
-                DsSkeleton::Kv { num_slots, .. } => jiffy_proto::to_bytes(&InitKvMirror {
-                    ranges: vec![],
-                    num_slots,
-                })?,
-                _ => Vec::new(),
-            };
-            (meta.ds_type(), params)
+            (meta.ds_type(), empty_params(&meta.skeleton())?)
         };
         // 1. Seal: mutations bounce with StaleMetadata (clients refresh
         //    and retry); reads keep serving from the old tail.
@@ -1800,7 +1564,7 @@ impl Controller {
             }
         };
         // 3. Stand up the replacement chain and absorb the image.
-        let new_loc = match st.freelist.allocate_chain(old_loc.chain.len()) {
+        let new_loc = match st.tables.freelist.pick_chain(old_loc.chain.len(), &[]) {
             Ok(l) => l,
             Err(e) => {
                 let _ = self.dataplane.seal_block(old_loc, false);
@@ -1814,23 +1578,15 @@ impl Controller {
                 self.dataplane
                     .import_payload(&new_loc, &Blob::new(payload), &replay)
             });
-        if let Err(e) = staged {
-            let _ = self.dataplane.reset_block(&new_loc);
-            for r in &new_loc.chain {
-                let _ = st.freelist.release(r.block);
-            }
-            let _ = self.dataplane.seal_block(old_loc, false);
-            return Err(e);
-        }
         // 4. Swap the metadata entry. The state lock is already held, so
         //    clients observe either the old or the new location, never a
         //    gap; the version bump invalidates cached views.
-        let swap = (|| -> Result<()> {
-            let entry = st
-                .jobs
-                .get_mut(&job)
-                .ok_or(JiffyError::UnknownJob(job.raw()))?;
-            let node = entry.hierarchy.resolve_mut(name)?;
+        let swapped = staged.and_then(|()| {
+            let entry = st.tables.jobs.get_mut(&job);
+            let node = entry
+                .ok_or(JiffyError::UnknownJob(job.raw()))?
+                .hierarchy
+                .resolve_mut(name)?;
             let meta = node
                 .ds
                 .as_mut()
@@ -1838,35 +1594,34 @@ impl Controller {
             meta.replace_location(old_loc.id(), new_loc.clone())?;
             node.version += 1;
             Ok(())
-        })();
-        if let Err(e) = swap {
+        });
+        if let Err(e) = swapped {
             let _ = self.dataplane.reset_block(&new_loc);
-            for r in &new_loc.chain {
-                let _ = st.freelist.release(r.block);
-            }
             let _ = self.dataplane.seal_block(old_loc, false);
             return Err(e);
         }
-        st.block_owner.remove(&old_loc.id());
-        st.block_owner.insert(new_loc.id(), (job, name.to_string()));
+        let new_blocks = journal::blocks_of(std::slice::from_ref(&new_loc));
+        st.tables.freelist.claim(&new_blocks)?;
+        st.tables.block_owner.remove(&old_loc.id());
+        st.tables
+            .block_owner
+            .insert(new_loc.id(), (job, name.to_string()));
         // 4b. Journal the new placement before the sources are retired:
         //     past this append the image's only copy may live on the
         //     new chain, so replay must already route there. (The old
         //     chain is still allocated in this record; the caller's
         //     closing rewrite covers its release.)
-        let op = self.rewrite_op(st)?;
-        self.journal_append(st, vec![op])?;
+        let op = Self::rewrite_op(st)?;
+        self.apply_and_journal(st, vec![op])?;
         // 5. Retire the sources: each keeps a redirect tombstone, so an
         //    op that raced the swap gets BlockMoved (retryable) rather
         //    than a stale answer. Best-effort — a dead source just means
         //    the client refreshes via Unavailable instead.
         let _ = self.dataplane.retire_block(old_loc, new_loc.head());
         // 6. Give the sources back (parked when their home is leaving).
-        for r in &old_loc.chain {
-            st.block_owner.remove(&r.block);
-            let _ = st.freelist.release(r.block);
-        }
-        st.counters.blocks_migrated += old_loc.chain.len() as u64;
+        st.tables
+            .release(&journal::blocks_of(std::slice::from_ref(old_loc)));
+        st.tables.counters.blocks_migrated += old_loc.chain.len() as u64;
         Ok(new_loc)
     }
 
@@ -1875,10 +1630,10 @@ impl Controller {
     /// blocks were moved. The server still holds no data afterwards and
     /// can be deregistered.
     fn drain_server_locked(&self, st: &mut CtrlState, server: ServerId) -> Result<u32> {
-        st.freelist.mark_draining(server)?;
+        st.tables.freelist.mark_draining(server)?;
         let mut migrated = 0u32;
         loop {
-            let used = st.freelist.used_blocks_on(server)?;
+            let used = st.tables.freelist.used_blocks_on(server)?;
             let Some(block) = used.first().copied() else {
                 break;
             };
@@ -1909,9 +1664,9 @@ impl Controller {
     }
 
     fn handle_server_failure_locked(&self, st: &mut CtrlState, server: ServerId) -> Result<()> {
-        let lost = st.freelist.mark_dead(server)?;
+        let lost = st.tables.freelist.mark_dead(server)?;
         st.detector.forget(server);
-        st.counters.servers_failed += 1;
+        st.tables.counters.servers_failed += 1;
         let mut seen: HashSet<BlockId> = HashSet::new();
         let mut promotions: Vec<(JobId, String, BlockLocation, BlockLocation)> = Vec::new();
         let mut wholly_dead: Vec<(JobId, String, BlockLocation)> = Vec::new();
@@ -1926,7 +1681,8 @@ impl Controller {
                 .chain
                 .iter()
                 .filter(|r| {
-                    st.freelist
+                    st.tables
+                        .freelist
                         .state_of(r.server)
                         .is_ok_and(|s| s != ServerState::Dead)
                 })
@@ -1940,7 +1696,7 @@ impl Controller {
         }
         for (job, name, old, new) in promotions {
             let swapped = {
-                let Some(entry) = st.jobs.get_mut(&job) else {
+                let Some(entry) = st.tables.jobs.get_mut(&job) else {
                     continue;
                 };
                 let Ok(node) = entry.hierarchy.resolve_mut(&name) else {
@@ -1956,25 +1712,22 @@ impl Controller {
                 ok
             };
             if swapped && old.id() != new.id() {
-                st.block_owner.remove(&old.id());
-                st.block_owner.insert(new.id(), (job, name.clone()));
+                st.tables.block_owner.remove(&old.id());
+                st.tables.block_owner.insert(new.id(), (job, name.clone()));
             }
-            for r in old.chain.iter().filter(|r| r.server == server) {
-                st.block_owner.remove(&r.block);
-                let _ = st.freelist.release(r.block);
-            }
+            let lost = old.chain.iter().filter(|r| r.server == server);
+            st.tables
+                .release(&lost.map(|r| r.block).collect::<Vec<_>>());
         }
         let mut reload_candidates: HashSet<(JobId, String)> = HashSet::new();
         for (job, name, old) in &wholly_dead {
-            for r in &old.chain {
-                st.block_owner.remove(&r.block);
-                let _ = st.freelist.release(r.block);
-            }
+            st.tables
+                .release(&journal::blocks_of(std::slice::from_ref(old)));
             reload_candidates.insert((*job, name.clone()));
         }
         for (job, name) in reload_candidates {
             let (reloadable, path) = {
-                let Some(entry) = st.jobs.get(&job) else {
+                let Some(entry) = st.tables.jobs.get(&job) else {
                     continue;
                 };
                 let Ok(node) = entry.hierarchy.resolve(&name) else {
@@ -1985,7 +1738,8 @@ impl Controller {
                 };
                 let all_dead = meta.locations().iter().all(|loc| {
                     loc.chain.iter().all(|r| {
-                        !st.freelist
+                        !st.tables
+                            .freelist
                             .state_of(r.server)
                             .is_ok_and(|s| s != ServerState::Dead)
                     })
@@ -2001,7 +1755,7 @@ impl Controller {
             // Drop the dead incarnation, then restore the flushed image
             // into fresh blocks on live servers.
             let locations = {
-                let Some(entry) = st.jobs.get(&job) else {
+                let Some(entry) = st.tables.jobs.get(&job) else {
                     continue;
                 };
                 let Ok(node) = entry.hierarchy.resolve(&name) else {
@@ -2009,14 +1763,9 @@ impl Controller {
                 };
                 node.ds.as_ref().map(DsMeta::locations).unwrap_or_default()
             };
-            for loc in &locations {
-                for r in &loc.chain {
-                    st.block_owner.remove(&r.block);
-                    let _ = st.freelist.release(r.block);
-                }
-            }
+            st.tables.release(&journal::blocks_of(&locations));
             {
-                let Some(entry) = st.jobs.get_mut(&job) else {
+                let Some(entry) = st.tables.jobs.get_mut(&job) else {
                     continue;
                 };
                 let Ok(node) = entry.hierarchy.resolve_mut(&name) else {
@@ -2025,13 +1774,16 @@ impl Controller {
                 node.ds = None;
                 node.version += 1;
             }
-            let _ = self.load_prefix(st, job, &name, &path);
+            if let Ok((_, ops)) = self.load_prefix(st, job, &name, &path) {
+                for op in &ops {
+                    st.tables.apply_op(op)?;
+                }
+            }
         }
         // Failure handling is a multi-step transition (promotions,
         // releases, reloads); checkpoint the outcome wholesale.
-        let op = self.rewrite_op(st)?;
-        self.journal_append(st, vec![op])?;
-        Ok(())
+        let op = Self::rewrite_op(st)?;
+        self.apply_and_journal(st, vec![op])
     }
 
     /// One failure-detector sweep: servers whose last heartbeat is older
@@ -2072,16 +1824,16 @@ impl Controller {
         };
         let decision = {
             let st = self.state.lock();
-            policy.decide(&st.freelist.server_loads())
+            policy.decide(&st.tables.freelist.server_loads())
         };
         match decision {
             ScaleDecision::Hold => {}
             ScaleDecision::ScaleUp => {
                 if provider.provision().is_ok() {
                     let mut st = self.state.lock();
-                    st.counters.scale_ups += 1;
+                    let op = JournalOp::ScaleEvent { up: true };
                     // xtask-allow(no-guard-across-rpc): journal order equals mutation order (DESIGN.md §11)
-                    let _ = self.journal_append(&mut st, vec![JournalOp::ScaleEvent { up: true }]);
+                    let _ = self.apply_and_journal(&mut st, vec![op]);
                 }
             }
             ScaleDecision::ScaleDown { victim } => {
@@ -2093,9 +1845,9 @@ impl Controller {
                 {
                     let _ = provider.decommission(victim);
                     let mut st = self.state.lock();
-                    st.counters.scale_downs += 1;
+                    let op = JournalOp::ScaleEvent { up: false };
                     // xtask-allow(no-guard-across-rpc): journal order equals mutation order (DESIGN.md §11)
-                    let _ = self.journal_append(&mut st, vec![JournalOp::ScaleEvent { up: false }]);
+                    let _ = self.apply_and_journal(&mut st, vec![op]);
                 }
             }
         }
@@ -2120,7 +1872,7 @@ impl Controller {
         let now = self.clock.now();
         let mut st = self.state.lock();
         let mut expired: Vec<(JobId, String)> = Vec::new();
-        for (job, entry) in &st.jobs {
+        for (job, entry) in &st.tables.jobs {
             for name in entry.hierarchy.expired(now, self.cfg.lease_duration) {
                 // Only prefixes that still hold memory need reclamation.
                 if entry.hierarchy.get(&name).is_some_and(|n| n.ds.is_some()) {
@@ -2129,7 +1881,26 @@ impl Controller {
             }
         }
         for (job, name) in &expired {
-            let _ = self.reclaim_prefix(&mut st, *job, name, true, None);
+            let path = format!("jiffy-expired/{}/{name}", job.raw());
+            // The flush object is durable before the reclaim is
+            // journaled, and the blocks are cleared only after: a crash
+            // before the commit replays to the pre-reclaim state, whose
+            // blocks still hold the data; one after it only leaves stale
+            // block contents for re-initialization to clear. The resets
+            // run before the guard drops, so no request can take a
+            // block before it is cleared.
+            // xtask-allow(no-guard-across-rpc): the flush object is durable before its record, in journal order (DESIGN.md §11)
+            let flushed = self.flush_prefix(&st, *job, name, &path, true);
+            let Ok((_, ops, locs)) = flushed else {
+                continue;
+            };
+            // xtask-allow(no-guard-across-rpc): journal order equals mutation order (DESIGN.md §11)
+            if self.apply_and_journal(&mut st, ops).is_ok() {
+                for loc in &locs {
+                    // xtask-allow(no-guard-across-rpc): a freed block is cleared before the next request can take it
+                    let _ = self.dataplane.reset_block(loc);
+                }
+            }
         }
         expired
     }
@@ -2145,29 +1916,40 @@ impl Controller {
     }
 
     fn stats_locked(&self, st: &CtrlState) -> ControllerStats {
-        let prefixes: u64 = st.jobs.values().map(|j| j.hierarchy.len() as u64).sum();
-        let metadata_bytes: u64 = st.jobs.values().map(|j| j.hierarchy.metadata_bytes()).sum();
+        let prefixes: u64 = st
+            .tables
+            .jobs
+            .values()
+            .map(|j| j.hierarchy.len() as u64)
+            .sum();
+        let metadata_bytes: u64 = st
+            .tables
+            .jobs
+            .values()
+            .map(|j| j.hierarchy.metadata_bytes())
+            .sum();
         let servers = st
+            .tables
             .freelist
             .server_loads()
             .iter()
             .filter(|l| l.state == ServerState::Alive)
             .count() as u64;
         ControllerStats {
-            free_blocks: st.freelist.free_count() as u64,
-            total_blocks: st.freelist.total_count() as u64,
-            jobs: st.jobs.len() as u64,
+            free_blocks: st.tables.freelist.free_count() as u64,
+            total_blocks: st.tables.freelist.total_count() as u64,
+            jobs: st.tables.jobs.len() as u64,
             prefixes,
-            ops_served: st.counters.ops_served,
-            leases_expired: st.counters.leases_expired,
-            splits: st.counters.splits,
-            merges: st.counters.merges,
+            ops_served: st.tables.counters.ops_served,
+            leases_expired: st.tables.counters.leases_expired,
+            splits: st.tables.counters.splits,
+            merges: st.tables.counters.merges,
             metadata_bytes,
             servers,
-            servers_failed: st.counters.servers_failed,
-            blocks_migrated: st.counters.blocks_migrated,
-            scale_ups: st.counters.scale_ups,
-            scale_downs: st.counters.scale_downs,
+            servers_failed: st.tables.counters.servers_failed,
+            blocks_migrated: st.tables.counters.blocks_migrated,
+            scale_ups: st.tables.counters.scale_ups,
+            scale_downs: st.tables.counters.scale_downs,
         }
     }
 
@@ -2184,6 +1966,19 @@ impl Controller {
 struct InitKvMirror {
     ranges: Vec<(u32, u32)>,
     num_slots: u32,
+}
+
+/// Init params for a block that absorbs an exported image (load and
+/// migration): the image carries all chunk / range state, so KV mirrors
+/// start with no owned ranges.
+fn empty_params(skeleton: &DsSkeleton) -> Result<Vec<u8>> {
+    match skeleton {
+        DsSkeleton::Kv { num_slots, .. } => jiffy_proto::to_bytes(&InitKvMirror {
+            ranges: vec![],
+            num_slots: *num_slots,
+        }),
+        _ => Ok(Vec::new()),
+    }
 }
 
 /// Handle keeping an expiry or elasticity worker alive; stops it on drop.
@@ -2682,6 +2477,209 @@ mod tests {
                 name: "big".into()
             })
             .is_err());
+    }
+
+    // ----- a request that fails leaves no trace ---------------------------
+
+    fn create(ctrl: &Controller, job: JobId, name: &str, parents: &[&str]) -> Result<()> {
+        ctrl.dispatch(ControlRequest::CreatePrefix {
+            job,
+            name: name.into(),
+            parents: parents.iter().map(|p| (*p).to_string()).collect(),
+            ds: Some(DsType::File),
+            initial_blocks: 1,
+        })
+        .map(|_| ())
+    }
+
+    #[test]
+    fn a_dotted_remove_removes_the_node_it_reaches() {
+        let (ctrl, clock, store) = controller();
+        add_server(&ctrl, 16);
+        let job = register(&ctrl);
+        create(&ctrl, job, "a", &[]).unwrap();
+        create(&ctrl, job, "b", &["a"]).unwrap();
+        ctrl.dispatch(ControlRequest::RemovePrefix {
+            job,
+            name: "a.b".into(),
+        })
+        .unwrap();
+        match ctrl.dispatch(ControlRequest::ListPrefixes { job }).unwrap() {
+            ControlResponse::Prefixes(p) => assert_eq!(p, vec!["a"]),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(ctrl.stats().free_blocks, 15);
+        // The block `b` held is free again, in the live tables and in
+        // the journal alike: the next allocation may take it.
+        create(&ctrl, job, "c", &[]).unwrap();
+        assert_recovered_matches(&ctrl, &recover(&clock, &store));
+    }
+
+    #[test]
+    fn a_hierarchy_with_a_missing_parent_creates_nothing() {
+        let (ctrl, clock, store) = controller();
+        add_server(&ctrl, 16);
+        let job = register(&ctrl);
+        let before = ctrl.state_mirror().normalized();
+        let node = |name: &str, parents: &[&str]| DagNodeSpec {
+            name: name.into(),
+            parents: parents.iter().map(|p| (*p).to_string()).collect(),
+            ds: Some(DsType::File),
+            initial_blocks: 1,
+        };
+        for nodes in [
+            vec![node("a", &[]), node("b", &["a"]), node("c", &["missing"])],
+            vec![node("a", &[]), node("a", &[])],
+            vec![node("a", &["b"]), node("b", &[])],
+        ] {
+            assert!(ctrl
+                .dispatch(ControlRequest::CreateHierarchy { job, nodes })
+                .is_err());
+            assert_eq!(ctrl.state_mirror().normalized(), before);
+        }
+        assert_eq!(ctrl.stats().free_blocks, 16);
+        assert_recovered_matches(&ctrl, &recover(&clock, &store));
+    }
+
+    #[test]
+    fn a_load_that_runs_out_of_blocks_takes_none() {
+        let (ctrl, clock, store) = controller();
+        add_server(&ctrl, 3);
+        let job = register(&ctrl);
+        ctrl.dispatch(ControlRequest::CreatePrefix {
+            job,
+            name: "big".into(),
+            parents: vec![],
+            ds: Some(DsType::File),
+            initial_blocks: 3,
+        })
+        .unwrap();
+        ctrl.dispatch(ControlRequest::FlushPrefix {
+            job,
+            name: "big".into(),
+            external_path: "ext/big".into(),
+        })
+        .unwrap();
+        ctrl.dispatch(ControlRequest::RemovePrefix {
+            job,
+            name: "big".into(),
+        })
+        .unwrap();
+        // Two blocks stay free; the flushed image needs three.
+        create(&ctrl, job, "hog", &[]).unwrap();
+        ctrl.dispatch(ControlRequest::CreatePrefix {
+            job,
+            name: "into".into(),
+            parents: vec![],
+            ds: None,
+            initial_blocks: 0,
+        })
+        .unwrap();
+        assert_eq!(ctrl.stats().free_blocks, 2);
+        let before = ctrl.state_mirror().normalized();
+        let load = ctrl.dispatch(ControlRequest::LoadPrefix {
+            job,
+            name: "into".into(),
+            external_path: "ext/big".into(),
+        });
+        assert!(matches!(load, Err(JiffyError::OutOfBlocks)), "{load:?}");
+        assert_eq!(ctrl.stats().free_blocks, 2);
+        assert_eq!(ctrl.state_mirror().normalized(), before);
+        assert_recovered_matches(&ctrl, &recover(&clock, &store));
+    }
+
+    /// A data plane whose `init_block` or `split_block` always fails.
+    struct FailingPlane {
+        init: bool,
+        split: bool,
+    }
+
+    impl DataPlane for FailingPlane {
+        fn init_block(&self, loc: &BlockLocation, ds: DsType, params: &[u8]) -> Result<()> {
+            if self.init {
+                return Err(JiffyError::Rpc("init refused".into()));
+            }
+            NoopDataPlane.init_block(loc, ds, params)
+        }
+
+        fn reset_block(&self, loc: &BlockLocation) -> Result<()> {
+            NoopDataPlane.reset_block(loc)
+        }
+
+        fn export_block(&self, loc: &BlockLocation) -> Result<(Vec<u8>, Vec<u8>)> {
+            NoopDataPlane.export_block(loc)
+        }
+
+        fn import_payload(&self, loc: &BlockLocation, payload: &[u8], replay: &[u8]) -> Result<()> {
+            NoopDataPlane.import_payload(loc, payload, replay)
+        }
+
+        fn split_block(
+            &self,
+            loc: &BlockLocation,
+            spec: &SplitSpec,
+            target: Option<&BlockLocation>,
+        ) -> Result<()> {
+            if self.split {
+                return Err(JiffyError::Rpc("split refused".into()));
+            }
+            NoopDataPlane.split_block(loc, spec, target)
+        }
+
+        fn merge_block(
+            &self,
+            loc: &BlockLocation,
+            spec: &MergeSpec,
+            target: Option<&BlockLocation>,
+        ) -> Result<()> {
+            NoopDataPlane.merge_block(loc, spec, target)
+        }
+
+        fn block_usage(&self, loc: &BlockLocation) -> Result<(u64, u64)> {
+            NoopDataPlane.block_usage(loc)
+        }
+
+        fn seal_block(&self, loc: &BlockLocation, sealed: bool) -> Result<()> {
+            NoopDataPlane.seal_block(loc, sealed)
+        }
+
+        fn retire_block(&self, loc: &BlockLocation, moved_to: &Replica) -> Result<()> {
+            NoopDataPlane.retire_block(loc, moved_to)
+        }
+    }
+
+    #[test]
+    fn failed_data_plane_effects_leave_no_trace() {
+        for (init, split) in [(true, false), (false, true)] {
+            let (_clock, shared) = ManualClock::shared();
+            let store = Arc::new(MemObjectStore::new());
+            let plane = Arc::new(FailingPlane { init, split });
+            let ctrl = Controller::new(JiffyConfig::for_testing(), shared, plane, store).unwrap();
+            add_server(&ctrl, 8);
+            let job = register(&ctrl);
+            let before = ctrl.state_mirror().normalized();
+            let created = ctrl.dispatch(ControlRequest::CreatePrefix {
+                job,
+                name: "kv".into(),
+                parents: vec![],
+                ds: Some(DsType::KvStore),
+                initial_blocks: 2,
+            });
+            if init {
+                assert!(created.is_err());
+                assert_eq!(ctrl.state_mirror().normalized(), before);
+                continue;
+            }
+            created.unwrap();
+            let before = ctrl.state_mirror().normalized();
+            let block = ctrl.state_mirror().block_owner[0].0;
+            let split = ctrl.dispatch(ControlRequest::ReportOverload {
+                block: BlockId(block),
+                used: 999,
+            });
+            assert!(split.is_err(), "{split:?}");
+            assert_eq!(ctrl.state_mirror().normalized(), before);
+        }
     }
 
     // ----- crash recovery (DESIGN.md §11) -------------------------------

@@ -64,87 +64,55 @@ impl FreeList {
         self.block_ids.set_stride(index, count);
     }
 
-    /// Registers a memory server contributing `capacity_blocks` blocks;
-    /// returns its ID and the IDs assigned to its blocks.
-    pub fn register_server(
-        &mut self,
-        addr: impl Into<String>,
-        capacity_blocks: u32,
-    ) -> (ServerId, Vec<BlockId>) {
-        let server: ServerId = self.server_ids.next_id();
-        let addr = addr.into();
-        let mut blocks = Vec::with_capacity(capacity_blocks as usize);
-        for _ in 0..capacity_blocks {
-            let id: BlockId = self.block_ids.next_id();
-            self.homes.insert(id, server);
-            self.free.push_back(id);
-            blocks.push(id);
-        }
-        self.servers.insert(
-            server,
-            ServerEntry {
-                endpoint: Endpoint { server, addr },
-                state: ServerState::Alive,
-                blocks: blocks.clone(),
-            },
-        );
-        (server, blocks)
+    /// The ids a server joining with `capacity_blocks` blocks would get,
+    /// without issuing them: [`Self::restore_server`] installs it.
+    pub fn mint_server(&self, capacity_blocks: u32) -> (ServerId, Vec<BlockId>) {
+        let blocks = self.block_ids.peek(u64::from(capacity_blocks));
+        (
+            ServerId(self.server_ids.current()),
+            blocks.map(BlockId).collect(),
+        )
     }
 
-    /// Allocates one free block, preferring round-robin order across
-    /// servers (FIFO over the free list achieves this for equal-size
-    /// servers).
+    /// Picks a replication chain of `n` free blocks on as many distinct
+    /// servers as possible (head first), skipping `taken` — blocks the
+    /// same request already picked. Only `Alive` servers are eligible
+    /// (the free list never holds blocks of draining or dead servers).
+    /// Read-only: [`Self::claim`] allocates the pick.
     ///
     /// # Errors
     ///
-    /// [`JiffyError::OutOfBlocks`] when nothing is free.
-    pub fn allocate(&mut self) -> Result<BlockLocation> {
-        let block = self.free.pop_front().ok_or(JiffyError::OutOfBlocks)?;
-        self.location_of(block)
-    }
-
-    /// Allocates a replication chain of `n` blocks on as many distinct
-    /// servers as possible (head first). Only `Alive` servers are
-    /// eligible (the free list never holds blocks of draining or dead
-    /// servers).
-    ///
-    /// # Errors
-    ///
-    /// [`JiffyError::OutOfBlocks`] if fewer than `n` blocks are free; no
-    /// partial allocation occurs.
-    pub fn allocate_chain(&mut self, n: usize) -> Result<BlockLocation> {
+    /// [`JiffyError::OutOfBlocks`] if fewer than `n` blocks are free
+    /// outside `taken`.
+    pub fn pick_chain(&self, n: usize, taken: &[BlockId]) -> Result<BlockLocation> {
         if n == 0 {
             return Err(JiffyError::Internal("chain length must be >= 1".into()));
         }
-        if self.free.len() < n {
+        if self.free.len().saturating_sub(taken.len()) < n {
             return Err(JiffyError::OutOfBlocks);
         }
+        let free = || self.free.iter().filter(|b| !taken.contains(b));
         // Greedy pass preferring distinct servers; fall back to whatever
         // is free if the cluster has fewer servers than replicas.
         let mut chosen: Vec<BlockId> = Vec::with_capacity(n);
         let mut used_servers: Vec<ServerId> = Vec::with_capacity(n);
         for pass in 0..2 {
-            if chosen.len() == n {
-                break;
-            }
-            let mut i = 0;
-            while i < self.free.len() && chosen.len() < n {
-                let candidate = self.free[i];
+            for &candidate in free() {
+                if chosen.len() == n {
+                    break;
+                }
                 let home = self.homes[&candidate];
                 let distinct_ok = pass == 1 || !used_servers.contains(&home);
                 if distinct_ok && !chosen.contains(&candidate) {
                     chosen.push(candidate);
                     used_servers.push(home);
                 }
-                i += 1;
             }
         }
         debug_assert_eq!(chosen.len(), n);
-        self.free.retain(|b| !chosen.contains(b));
         let mut chain = Vec::with_capacity(n);
         for block in chosen {
-            let loc = self.location_of(block)?;
-            chain.extend(loc.chain);
+            chain.extend(self.location_of(block)?.chain);
         }
         Ok(BlockLocation { chain })
     }
@@ -214,13 +182,6 @@ impl FreeList {
         self.homes.len()
     }
 
-    /// Registered server endpoints (any state), sorted by ID.
-    pub fn servers(&self) -> Vec<Endpoint> {
-        let mut v: Vec<Endpoint> = self.servers.values().map(|e| e.endpoint.clone()).collect();
-        v.sort_by_key(|e| e.server);
-        v
-    }
-
     /// The endpoint of one server.
     ///
     /// # Errors
@@ -248,11 +209,6 @@ impl FreeList {
     /// Whether this ID belonged to a server that has left the cluster.
     pub fn is_departed(&self, server: ServerId) -> bool {
         self.departed.contains(&server)
-    }
-
-    /// Home server of a block, if known.
-    pub fn home_of(&self, block: BlockId) -> Option<ServerId> {
-        self.homes.get(&block).copied()
     }
 
     /// Blocks homed on `server` that are currently allocated to a data
@@ -394,60 +350,67 @@ impl FreeList {
             .collect()
     }
 
-    /// Rehomes a replica entry after a migration: `block` keeps its ID
-    /// only on the wire — physically the data now lives in a *different*
-    /// block on another server, so nothing changes here; the caller
-    /// releases the source block instead. Provided as a seam for future
-    /// in-place rehoming; currently just validates both ends exist.
+    /// Removes *specific* blocks from the free pool (or from the parked
+    /// set), all or none — the one way a block gets allocated: journal
+    /// apply re-applies a recorded allocation outcome instead of asking
+    /// the allocator to choose (FIFO position is irrelevant to it).
     ///
     /// # Errors
     ///
-    /// [`JiffyError::UnknownBlock`] / [`JiffyError::UnknownServer`] when
-    /// either end is not registered.
-    pub fn validate_blocks(&self, blocks: &[BlockId]) -> Result<()> {
-        for b in blocks {
-            self.location_of(*b)?;
+    /// [`JiffyError::UnknownBlock`] if the cluster never had a block;
+    /// [`JiffyError::Internal`] if one is not currently free or is listed
+    /// twice. Nothing is claimed then.
+    pub fn claim(&mut self, blocks: &[BlockId]) -> Result<()> {
+        self.check_claim(blocks)?;
+        self.free.retain(|b| !blocks.contains(b));
+        for block in blocks {
+            self.parked.remove(block);
         }
         Ok(())
     }
 
-    /// Removes one *specific* block from the free pool — journal replay
-    /// re-applies a recorded allocation outcome instead of asking the
-    /// allocator to choose again (FIFO position is irrelevant to the
-    /// outcome being replayed).
+    /// Checks that [`Self::claim`] of `blocks` would succeed, without
+    /// claiming them.
     ///
     /// # Errors
     ///
-    /// [`JiffyError::UnknownBlock`] if the cluster never had the block;
-    /// [`JiffyError::Internal`] if it is not currently free.
-    pub fn claim(&mut self, block: BlockId) -> Result<()> {
-        if !self.homes.contains_key(&block) {
-            return Err(JiffyError::UnknownBlock(block.raw()));
+    /// As [`Self::claim`].
+    pub fn check_claim(&self, blocks: &[BlockId]) -> Result<()> {
+        for (i, block) in blocks.iter().enumerate() {
+            if !self.homes.contains_key(block) {
+                return Err(JiffyError::UnknownBlock(block.raw()));
+            }
+            if !self.is_free(*block) || blocks[..i].contains(block) {
+                return Err(JiffyError::Internal(format!(
+                    "claim of non-free block {block}"
+                )));
+            }
         }
-        if let Some(pos) = self.free.iter().position(|b| *b == block) {
-            self.free.remove(pos);
-            return Ok(());
-        }
-        if self.parked.remove(&block) {
-            return Ok(());
-        }
-        Err(JiffyError::Internal(format!(
-            "claim of non-free block {block}"
-        )))
+        Ok(())
     }
 
-    /// Re-inserts a server with a *recorded* identity: the exact id,
-    /// address and block ids a `ServerJoined` journal record captured.
-    /// All blocks start free (replayed allocations then [`Self::claim`]
-    /// them); both id generators are bumped past the restored ids so
-    /// fresh registrations never collide.
+    /// Installs a server with a *recorded* identity: the exact id,
+    /// address and block ids a `ServerJoined` journal record carries
+    /// ([`Self::mint_server`] picks them live). All blocks start free
+    /// (recorded allocations then [`Self::claim`] them); both id
+    /// generators move past the installed ids, so fresh ones never
+    /// collide.
+    ///
+    /// # Errors
+    ///
+    /// [`JiffyError::Internal`] if the server or one of its blocks is
+    /// already known; nothing is installed then.
     pub fn restore_server(
         &mut self,
         server: ServerId,
         addr: impl Into<String>,
         blocks: &[BlockId],
-    ) {
-        let addr = addr.into();
+    ) -> Result<()> {
+        if self.servers.contains_key(&server) || blocks.iter().any(|b| self.homes.contains_key(b)) {
+            return Err(JiffyError::Internal(format!(
+                "{server} or one of its blocks joined twice"
+            )));
+        }
         for &b in blocks {
             self.homes.insert(b, server);
             self.free.push_back(b);
@@ -456,13 +419,17 @@ impl FreeList {
         self.servers.insert(
             server,
             ServerEntry {
-                endpoint: Endpoint { server, addr },
+                endpoint: Endpoint {
+                    server,
+                    addr: addr.into(),
+                },
                 state: ServerState::Alive,
                 blocks: blocks.to_vec(),
             },
         );
         self.departed.remove(&server);
         self.server_ids.bump_to(server.raw() + 1);
+        Ok(())
     }
 
     /// Serializable checkpoint of the whole table (snapshot mirror).
@@ -591,15 +558,30 @@ pub struct ServerMirror {
 mod tests {
     use super::*;
 
+    /// Joins a server the way the controller does: mint, then install.
+    fn join(fl: &mut FreeList, addr: &str, blocks: u32) -> (ServerId, Vec<BlockId>) {
+        let (server, ids) = fl.mint_server(blocks);
+        fl.restore_server(server, addr, &ids).unwrap();
+        (server, ids)
+    }
+
+    /// Picks and claims one chain of `n`.
+    fn allocate(fl: &mut FreeList, n: usize) -> Result<BlockLocation> {
+        let loc = fl.pick_chain(n, &[])?;
+        let blocks: Vec<BlockId> = loc.chain.iter().map(|r| r.block).collect();
+        fl.claim(&blocks)?;
+        Ok(loc)
+    }
+
     #[test]
     fn register_allocate_release_cycle() {
         let mut fl = FreeList::new();
-        let (s1, blocks) = fl.register_server("inproc:0", 4);
+        let (s1, blocks) = join(&mut fl, "inproc:0", 4);
         assert_eq!(blocks.len(), 4);
         assert_eq!(fl.free_count(), 4);
         assert_eq!(fl.total_count(), 4);
 
-        let loc = fl.allocate().unwrap();
+        let loc = allocate(&mut fl, 1).unwrap();
         assert_eq!(loc.head().server, s1);
         assert_eq!(fl.free_count(), 3);
         assert!(!fl.is_free(loc.id()));
@@ -611,16 +593,16 @@ mod tests {
     #[test]
     fn exhaustion_yields_out_of_blocks() {
         let mut fl = FreeList::new();
-        fl.register_server("inproc:0", 2);
-        fl.allocate().unwrap();
-        fl.allocate().unwrap();
-        assert!(matches!(fl.allocate(), Err(JiffyError::OutOfBlocks)));
+        join(&mut fl, "inproc:0", 2);
+        allocate(&mut fl, 1).unwrap();
+        allocate(&mut fl, 1).unwrap();
+        assert!(matches!(allocate(&mut fl, 1), Err(JiffyError::OutOfBlocks)));
     }
 
     #[test]
     fn double_free_and_unknown_free_are_rejected() {
         let mut fl = FreeList::new();
-        let (_, blocks) = fl.register_server("inproc:0", 1);
+        let (_, blocks) = join(&mut fl, "inproc:0", 1);
         assert!(matches!(
             fl.release(BlockId(99)),
             Err(JiffyError::UnknownBlock(99))
@@ -632,8 +614,8 @@ mod tests {
     #[test]
     fn block_ids_are_unique_across_servers() {
         let mut fl = FreeList::new();
-        let (_, b1) = fl.register_server("inproc:0", 3);
-        let (_, b2) = fl.register_server("inproc:1", 3);
+        let (_, b1) = join(&mut fl, "inproc:0", 3);
+        let (_, b2) = join(&mut fl, "inproc:1", 3);
         for b in &b1 {
             assert!(!b2.contains(b));
         }
@@ -641,12 +623,30 @@ mod tests {
     }
 
     #[test]
+    fn minting_is_read_only_and_strided() {
+        let mut fl = FreeList::new();
+        fl.set_id_stride(1, 2);
+        let (server, blocks) = fl.mint_server(3);
+        assert_eq!(
+            fl.mint_server(3),
+            (server, blocks.clone()),
+            "nothing issued"
+        );
+        assert_eq!(server, ServerId(1));
+        assert_eq!(blocks, vec![BlockId(1), BlockId(3), BlockId(5)]);
+        fl.restore_server(server, "inproc:0", &blocks).unwrap();
+        // The next server stays in the shard's class.
+        assert_eq!(fl.mint_server(1), (ServerId(3), vec![BlockId(7)]));
+        assert!(fl.restore_server(server, "inproc:0", &[]).is_err());
+    }
+
+    #[test]
     fn chains_prefer_distinct_servers() {
         let mut fl = FreeList::new();
-        let (s1, _) = fl.register_server("inproc:0", 2);
-        let (s2, _) = fl.register_server("inproc:1", 2);
-        let (s3, _) = fl.register_server("inproc:2", 2);
-        let loc = fl.allocate_chain(3).unwrap();
+        let (s1, _) = join(&mut fl, "inproc:0", 2);
+        let (s2, _) = join(&mut fl, "inproc:1", 2);
+        let (s3, _) = join(&mut fl, "inproc:2", 2);
+        let loc = allocate(&mut fl, 3).unwrap();
         let servers: Vec<ServerId> = loc.chain.iter().map(|r| r.server).collect();
         assert_eq!(servers.len(), 3);
         for s in [s1, s2, s3] {
@@ -658,8 +658,8 @@ mod tests {
     #[test]
     fn chains_fall_back_to_shared_servers_when_needed() {
         let mut fl = FreeList::new();
-        fl.register_server("inproc:0", 3);
-        let loc = fl.allocate_chain(2).unwrap();
+        join(&mut fl, "inproc:0", 3);
+        let loc = allocate(&mut fl, 2).unwrap();
         assert_eq!(loc.chain.len(), 2);
         assert_ne!(loc.chain[0].block, loc.chain[1].block);
     }
@@ -667,21 +667,37 @@ mod tests {
     #[test]
     fn chain_allocation_is_all_or_nothing() {
         let mut fl = FreeList::new();
-        fl.register_server("inproc:0", 1);
-        assert!(matches!(fl.allocate_chain(2), Err(JiffyError::OutOfBlocks)));
+        join(&mut fl, "inproc:0", 1);
+        assert!(matches!(
+            fl.pick_chain(2, &[]),
+            Err(JiffyError::OutOfBlocks)
+        ));
         assert_eq!(fl.free_count(), 1);
+        join(&mut fl, "inproc:1", 2);
+        let first = fl.pick_chain(2, &[]).unwrap();
+        assert_eq!(fl.pick_chain(2, &[]).unwrap(), first, "nothing allocated");
+        // A second chain of the same request skips the first one's
+        // blocks, and no third fits.
+        let taken: Vec<BlockId> = first.chain.iter().map(|r| r.block).collect();
+        let second = fl.pick_chain(1, &taken).unwrap();
+        assert!(!taken.contains(&second.id()));
+        let all: Vec<BlockId> = taken.iter().copied().chain([second.id()]).collect();
+        assert!(matches!(
+            fl.pick_chain(1, &all),
+            Err(JiffyError::OutOfBlocks)
+        ));
     }
 
     #[test]
     fn allocation_round_robins_across_servers() {
         let mut fl = FreeList::new();
-        fl.register_server("inproc:0", 2);
-        fl.register_server("inproc:1", 2);
-        // FIFO order: s0, s0, s1, s1 registered in that order; releases
-        // go to the back.
-        let a = fl.allocate().unwrap();
+        join(&mut fl, "inproc:0", 2);
+        join(&mut fl, "inproc:1", 2);
+        // FIFO order: s0, s0, s1, s1 joined in that order; releases go
+        // to the back.
+        let a = allocate(&mut fl, 1).unwrap();
         fl.release(a.id()).unwrap();
-        let b = fl.allocate().unwrap();
+        let b = allocate(&mut fl, 1).unwrap();
         assert_ne!(
             a.id(),
             b.id(),
@@ -701,16 +717,16 @@ mod tests {
     #[test]
     fn draining_parks_free_blocks_and_blocks_allocation() {
         let mut fl = FreeList::new();
-        let (s1, _) = fl.register_server("inproc:0", 2);
-        let (s2, _) = fl.register_server("inproc:1", 2);
-        let loc = fl.allocate().unwrap(); // lands on s1 (FIFO)
+        let (s1, _) = join(&mut fl, "inproc:0", 2);
+        let (s2, _) = join(&mut fl, "inproc:1", 2);
+        let loc = allocate(&mut fl, 1).unwrap(); // lands on s1 (FIFO)
         assert_eq!(loc.head().server, s1);
         fl.mark_draining(s1).unwrap();
         assert_eq!(fl.state_of(s1).unwrap(), ServerState::Draining);
         // Only s2's blocks remain allocatable.
         assert_eq!(fl.free_count(), 2);
         for _ in 0..2 {
-            assert_eq!(fl.allocate().unwrap().head().server, s2);
+            assert_eq!(allocate(&mut fl, 1).unwrap().head().server, s2);
         }
         // Releasing s1's used block parks it rather than freeing it.
         fl.release(loc.id()).unwrap();
@@ -722,9 +738,9 @@ mod tests {
     #[test]
     fn dead_server_reports_its_live_blocks() {
         let mut fl = FreeList::new();
-        let (s1, _) = fl.register_server("inproc:0", 3);
-        let a = fl.allocate().unwrap();
-        let b = fl.allocate().unwrap();
+        let (s1, _) = join(&mut fl, "inproc:0", 3);
+        let a = allocate(&mut fl, 1).unwrap();
+        let b = allocate(&mut fl, 1).unwrap();
         let live = fl.mark_dead(s1).unwrap();
         assert_eq!(live.len(), 2);
         assert!(live.contains(&a.id()) && live.contains(&b.id()));
@@ -732,14 +748,14 @@ mod tests {
         // A dead server still resolves (clients get its dead address and
         // a clean transport error), but allocation never touches it.
         assert!(fl.location_of(a.id()).is_ok());
-        assert!(matches!(fl.allocate(), Err(JiffyError::OutOfBlocks)));
+        assert!(matches!(allocate(&mut fl, 1), Err(JiffyError::OutOfBlocks)));
     }
 
     #[test]
     fn deregister_requires_empty_server_and_tombstones_the_id() {
         let mut fl = FreeList::new();
-        let (s1, _) = fl.register_server("inproc:0", 2);
-        let loc = fl.allocate().unwrap();
+        let (s1, _) = join(&mut fl, "inproc:0", 2);
+        let loc = allocate(&mut fl, 1).unwrap();
         fl.mark_draining(s1).unwrap();
         // Still hosting a live block: refuse.
         assert!(fl.deregister_server(s1).is_err());
@@ -753,7 +769,7 @@ mod tests {
             Err(JiffyError::UnknownBlock(_))
         ));
         // The departed ID is never re-issued.
-        let (s2, _) = fl.register_server("inproc:1", 1);
+        let (s2, _) = join(&mut fl, "inproc:1", 1);
         assert_ne!(s1, s2);
         assert!(s2.raw() > s1.raw());
     }
@@ -761,9 +777,9 @@ mod tests {
     #[test]
     fn server_loads_reflect_states_and_occupancy() {
         let mut fl = FreeList::new();
-        let (s1, _) = fl.register_server("inproc:0", 2);
-        let (s2, _) = fl.register_server("inproc:1", 2);
-        fl.allocate().unwrap();
+        let (s1, _) = join(&mut fl, "inproc:0", 2);
+        let (s2, _) = join(&mut fl, "inproc:1", 2);
+        allocate(&mut fl, 1).unwrap();
         fl.mark_draining(s2).unwrap();
         let loads = fl.server_loads();
         assert_eq!(loads.len(), 2);
@@ -779,15 +795,23 @@ mod tests {
     #[test]
     fn claim_removes_a_specific_block_and_rejects_allocated_ones() {
         let mut fl = FreeList::new();
-        let (_, blocks) = fl.register_server("inproc:0", 3);
-        fl.claim(blocks[1]).unwrap();
+        let (_, blocks) = join(&mut fl, "inproc:0", 3);
+        fl.claim(&[blocks[1]]).unwrap();
         assert_eq!(fl.free_count(), 2);
         assert!(!fl.is_free(blocks[1]));
         // FIFO order of the remaining blocks is preserved.
-        assert_eq!(fl.allocate().unwrap().id(), blocks[0]);
-        assert!(fl.claim(blocks[0]).is_err(), "already allocated");
+        assert_eq!(allocate(&mut fl, 1).unwrap().id(), blocks[0]);
+        // One bad block (allocated, unknown or repeated) claims nothing.
+        for bad in [
+            vec![blocks[2], blocks[0]],
+            vec![blocks[2], BlockId(99)],
+            vec![blocks[2], blocks[2]],
+        ] {
+            assert!(fl.claim(&bad).is_err(), "{bad:?}");
+            assert!(fl.is_free(blocks[2]));
+        }
         assert!(matches!(
-            fl.claim(BlockId(99)),
+            fl.claim(&[BlockId(99)]),
             Err(JiffyError::UnknownBlock(99))
         ));
     }
@@ -795,11 +819,12 @@ mod tests {
     #[test]
     fn restore_server_reinstates_identity_and_bumps_generators() {
         let mut fl = FreeList::new();
-        fl.restore_server(ServerId(5), "inproc:9", &[BlockId(10), BlockId(11)]);
+        fl.restore_server(ServerId(5), "inproc:9", &[BlockId(10), BlockId(11)])
+            .unwrap();
         assert_eq!(fl.free_count(), 2);
         assert_eq!(fl.endpoint_of(ServerId(5)).unwrap().addr, "inproc:9");
-        // Fresh registrations never collide with restored ids.
-        let (s, blocks) = fl.register_server("inproc:1", 1);
+        // Fresh ids never collide with restored ones.
+        let (s, blocks) = join(&mut fl, "inproc:1", 1);
         assert!(s.raw() > 5);
         assert!(blocks[0].raw() > 11);
     }
@@ -807,10 +832,10 @@ mod tests {
     #[test]
     fn mirror_round_trips_the_whole_table() {
         let mut fl = FreeList::new();
-        let (_s1, _) = fl.register_server("inproc:0", 3);
-        let (s2, _) = fl.register_server("inproc:1", 2);
-        let a = fl.allocate().unwrap();
-        fl.allocate().unwrap();
+        let (_s1, _) = join(&mut fl, "inproc:0", 3);
+        let (s2, _) = join(&mut fl, "inproc:1", 2);
+        let a = allocate(&mut fl, 1).unwrap();
+        allocate(&mut fl, 1).unwrap();
         fl.release(a.id()).unwrap(); // goes to the back of the queue
         fl.mark_draining(s2).unwrap();
         let m = fl.mirror();
@@ -819,8 +844,9 @@ mod tests {
         assert_eq!(back.free_count(), fl.free_count());
         assert_eq!(back.state_of(s2).unwrap(), ServerState::Draining);
         // Allocation order survives the round trip.
-        let mut orig = fl;
-        let mut rest = back;
-        assert_eq!(orig.allocate().unwrap().id(), rest.allocate().unwrap().id());
+        assert_eq!(
+            fl.pick_chain(1, &[]).unwrap(),
+            back.pick_chain(1, &[]).unwrap()
+        );
     }
 }

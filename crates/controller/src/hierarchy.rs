@@ -96,26 +96,39 @@ impl AddressHierarchy {
         Self::default()
     }
 
-    /// Adds a node under the given parents (all of which must exist).
+    /// Checks that a node `name` could be added under `parents` without
+    /// adding it: the name is valid and new, and every parent exists or
+    /// is one of `pending` (nodes the same request adds first).
     ///
     /// # Errors
     ///
     /// [`JiffyError::PathExists`] if the name is taken,
     /// [`JiffyError::PathNotFound`] if a parent is missing.
-    pub fn add_node(&mut self, name: &str, parents: &[String], now: Duration) -> Result<()> {
+    pub fn check_new_node(&self, name: &str, parents: &[String], pending: &[&str]) -> Result<()> {
         if name.is_empty() || name.contains('.') {
             return Err(JiffyError::Internal(format!(
                 "invalid node name {name:?}: must be non-empty, no dots"
             )));
         }
-        if self.nodes.contains_key(name) {
+        if self.nodes.contains_key(name) || pending.contains(&name) {
             return Err(JiffyError::PathExists(name.to_string()));
         }
-        for p in parents {
-            if !self.nodes.contains_key(p) {
-                return Err(JiffyError::PathNotFound(p.clone()));
-            }
+        match parents
+            .iter()
+            .find(|p| !self.nodes.contains_key(*p) && !pending.contains(&p.as_str()))
+        {
+            Some(p) => Err(JiffyError::PathNotFound(p.clone())),
+            None => Ok(()),
         }
+    }
+
+    /// Adds a node under the given parents (all of which must exist).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::check_new_node`]; nothing changes then.
+    pub fn add_node(&mut self, name: &str, parents: &[String], now: Duration) -> Result<()> {
+        self.check_new_node(name, parents, &[])?;
         let mut node = Node::new(name.to_string(), now);
         node.parents = parents.to_vec();
         self.nodes.insert(name.to_string(), node);
@@ -220,7 +233,12 @@ impl AddressHierarchy {
             .expect("invariant: resolve_name verified the node exists"))
     }
 
-    fn resolve_name(&self, path: &str) -> Result<String> {
+    /// The name of the node a plain name or dotted path reaches.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`AddressHierarchy::resolve`].
+    pub fn resolve_name(&self, path: &str) -> Result<String> {
         let parts: Vec<&str> = path.split('.').collect();
         if parts.is_empty() || parts.iter().any(|p| p.is_empty()) {
             return Err(JiffyError::PathNotFound(path.to_string()));
@@ -304,6 +322,14 @@ impl AddressHierarchy {
             }
         }
         Ok(closure)
+    }
+
+    /// Re-arms every lease to `now`: a restarted controller must never
+    /// expire data it could not watch.
+    pub fn rearm_leases(&mut self, now: Duration) {
+        for node in self.nodes.values_mut() {
+            node.last_renewal = now;
+        }
     }
 
     /// Names of nodes whose lease lapsed before `now - lease_duration`.
@@ -402,6 +428,24 @@ mod tests {
         ));
         assert!(h.add_node("", &[], t(0)).is_err());
         assert!(h.add_node("a.b", &[], t(0)).is_err());
+    }
+
+    #[test]
+    fn check_new_node_sees_pending_nodes_and_changes_nothing() {
+        let h = paper_dag();
+        // A node may hang off one the same request adds first, but not
+        // repeat it or hang off a node nobody adds.
+        h.check_new_node("x", &["t9".into(), "y".into()], &["y"])
+            .unwrap();
+        assert!(matches!(
+            h.check_new_node("y", &[], &["y"]),
+            Err(JiffyError::PathExists(_))
+        ));
+        assert!(matches!(
+            h.check_new_node("x", &["y".into()], &[]),
+            Err(JiffyError::PathNotFound(_))
+        ));
+        assert_eq!(h.len(), 9);
     }
 
     #[test]

@@ -1,13 +1,21 @@
-//! Controller crash recovery: metadata journal, snapshots, and replay
+//! Controller crash recovery: the journaled tables, their one
+//! transition function, the metadata journal, snapshots, and replay
 //! (DESIGN.md §11).
 //!
-//! Every mutating control-plane operation appends a typed
-//! [`JournalOp`] record to a write-ahead journal in the persistent tier
-//! *before* the controller acknowledges it. Records are
-//! outcome-carrying — they log the results of non-deterministic choices
-//! (allocated chains, chosen merge targets, issued ids) — so replay is a
-//! pure fold over metadata: it touches neither the allocator's policy
-//! nor the data plane.
+//! A shard's journaled metadata is one struct, [`Tables`], and
+//! [`Tables::apply_op`] is the only code that changes it for a typed
+//! [`JournalOp`] record — live and in replay alike. A dispatch arm
+//! decides against the unchanged tables, runs its data-plane effects,
+//! and hands its records to `commit`, which applies them and then
+//! appends them to a journal in the persistent tier *before* the
+//! controller acknowledges. Records are outcome-carrying — they log the
+//! results of non-deterministic choices (allocated chains, chosen merge
+//! targets, issued ids) — so applying one is a pure fold over metadata:
+//! it touches neither the allocator's policy nor the data plane. Every
+//! arm checks before it mutates, so a record that cannot apply (and the
+//! request that produced it) leaves no trace. Drain, migration and
+//! failure handling are the exception: they mutate in place and journal
+//! a `StateRewritten` mirror of the result.
 //!
 //! Layout in the object store:
 //!
@@ -21,31 +29,35 @@
 //!   batches and older snapshots are deleted (truncation is best-effort:
 //!   replay dedupes by sequence number, so stale objects are harmless).
 //!
-//! Recovery loads the newest snapshot, replays every journal record with
-//! a sequence number greater than the snapshot's `last_seq` in order
-//! (skipping duplicates), and hands the rebuilt tables to
-//! [`Controller::recover`](crate::Controller::recover), which re-arms
-//! leases and seeds the failure detector from the recovery clock —
-//! the journal is authoritative for metadata, heartbeats for liveness.
-//! Replay rebuilds the replay window from [`JournalOp::Answered`] records.
+//! Recovery ([`recover_from`]) installs the newest snapshot into empty
+//! tables, applies every journal record with a sequence number greater
+//! than the snapshot's `last_seq` in order (skipping duplicates), and
+//! hands the tables to [`Controller::recover`](crate::Controller::recover),
+//! which re-arms leases and seeds the failure detector from the recovery
+//! clock — the journal is authoritative for metadata, heartbeats for
+//! liveness. [`JournalOp::Answered`] records rebuild the replay window.
 //! Records are a stable format; a [`StateMirror`] is not ([`decode_mirror`]).
 
 use jiffy_sync::Arc;
 use std::collections::HashMap;
 use std::time::Duration;
 
+use jiffy_common::config::QosConfig;
+use jiffy_common::id::IdGen;
 use jiffy_common::{BlockId, JiffyError, JobId, Result, TenantId};
 use jiffy_persistent::ObjectStore;
 use jiffy_proto::{
-    from_bytes, to_bytes, JournalBatch, JournalOp, JournalRecord, JournalSnapshot, TenantLimit,
+    from_bytes, to_bytes, BlockLocation, JournalBatch, JournalOp, JournalRecord, JournalSnapshot,
+    TenantLimit,
 };
+use jiffy_qos::TenantDirectory;
 use jiffy_rpc::ReplayWindow;
 use serde::{Deserialize, Serialize};
 
-use crate::controller::{Counters, CtrlState, JobEntry};
+use crate::controller::{Counters, JobEntry};
 use crate::freelist::{FreeList, FreeListMirror};
 use crate::hierarchy::{AddressHierarchy, Node, Permissions};
-use crate::meta::{DsMeta, DsSkeleton};
+use crate::meta::DsMeta;
 
 /// Object-store prefix under which a one-shard control plane's metadata
 /// lives. Shard `i` of a larger one uses `jiffy-meta/shard-{i}/`
@@ -155,99 +167,117 @@ impl StateMirror {
     }
 }
 
-/// Builds a [`StateMirror`] from live controller tables.
-pub(crate) fn mirror_of(st: &CtrlState, next_job_id: u64) -> StateMirror {
-    let mut jobs: Vec<JobMirror> = st
-        .jobs
-        .iter()
-        .map(|(id, entry)| {
-            let nodes = entry
-                .hierarchy
-                .names()
-                .iter()
-                .filter_map(|n| entry.hierarchy.get(n))
-                .map(|node| NodeMirror {
-                    name: node.name.clone(),
-                    parents: node.parents.clone(),
-                    children: node.children.clone(),
-                    last_renewal_micros: u64::try_from(node.last_renewal.as_micros())
-                        .unwrap_or(u64::MAX),
-                    read: node.permissions.read,
-                    write: node.permissions.write,
-                    ds: node.ds.clone(),
-                    flushed_to: node.flushed_to.clone(),
-                    version: node.version,
-                })
-                .collect();
-            JobMirror {
-                job: id.raw(),
-                name: entry.name.clone(),
-                nodes,
-                tenant: entry.tenant.raw(),
-            }
-        })
-        .collect();
-    jobs.sort_by_key(|j| j.job);
-    let mut block_owner: Vec<(u64, u64, String)> = st
-        .block_owner
-        .iter()
-        .map(|(b, (j, n))| (b.raw(), j.raw(), n.clone()))
-        .collect();
-    block_owner.sort();
-    StateMirror {
-        jobs,
-        freelist: st.freelist.mirror(),
-        block_owner,
-        counters: st.counters.clone(),
-        next_job_id,
-        tenants: st.tenants.snapshot(),
-        answered: st.answered.entries(),
-    }
-}
-
-/// Decodes a wire-encoded [`StateMirror`]; one written before the replay
-/// window joined it ends a field early and decodes with an empty window.
-pub(crate) fn decode_mirror(bytes: &[u8]) -> Result<StateMirror> {
-    from_bytes(bytes).or_else(|err| {
-        let mut padded = bytes.to_vec();
-        padded.extend(to_bytes(&Vec::<(u64, Vec<u8>)>::new())?);
-        from_bytes(&padded).map_err(|_| err)
-    })
-}
-
-/// The metadata tables rebuilt by [`recover_from`], ready to be wrapped
-/// into a fresh `CtrlState` by `Controller::recover`.
-pub(crate) struct RecoveredState {
+/// The journaled tables of one controller shard: everything replay
+/// rebuilds and a [`StateMirror`] captures. [`Tables::apply_op`] is the
+/// one transition function over them — the live controller applies each
+/// record it journals with it, and recovery replays the journal with it.
+pub(crate) struct Tables {
     pub(crate) jobs: HashMap<JobId, JobEntry>,
+    /// The freelist / server-membership table.
     pub(crate) freelist: FreeList,
+    /// Reverse map: logical block → (job, node) for overload routing.
     pub(crate) block_owner: HashMap<BlockId, (JobId, String)>,
     pub(crate) counters: Counters,
-    pub(crate) next_job_id: u64,
-    /// Sequence number the resumed journal should issue next.
-    pub(crate) next_seq: u64,
-    /// Explicitly configured tenant QoS limits.
-    pub(crate) tenants: Vec<TenantLimit>,
-    /// The shard's replay window.
+    /// Per-tenant QoS configuration (shares, quotas, rate limits).
+    pub(crate) tenants: TenantDirectory,
+    /// Answers to client-stamped mutations by request id.
     pub(crate) answered: ReplayWindow<Vec<u8>>,
+    /// The job-id frontier: `current()` is the id the next
+    /// `JobRegistered` gets.
+    pub(crate) job_ids: IdGen,
+    /// `(index, count)`: this shard mints job, server and block ids
+    /// ≡ `index` (mod `count`).
+    stride: (u64, u64),
 }
 
-impl RecoveredState {
-    fn empty() -> Self {
+fn job_mut(jobs: &mut HashMap<JobId, JobEntry>, job: JobId) -> Result<&mut JobEntry> {
+    jobs.get_mut(&job).ok_or(JiffyError::UnknownJob(job.raw()))
+}
+
+/// Every replica block of `locs`, chain by chain.
+pub(crate) fn blocks_of(locs: &[BlockLocation]) -> Vec<BlockId> {
+    locs.iter()
+        .flat_map(|loc| loc.chain.iter().map(|r| r.block))
+        .collect()
+}
+
+impl Tables {
+    /// Empty tables for shard `index` of `count`.
+    pub(crate) fn new(qos: QosConfig, index: u64, count: u64) -> Self {
+        let freelist = FreeList::new();
+        freelist.set_id_stride(index, count);
         Self {
             jobs: HashMap::new(),
-            freelist: FreeList::new(),
+            freelist,
             block_owner: HashMap::new(),
             counters: Counters::default(),
-            next_job_id: 0,
-            next_seq: 0,
-            tenants: Vec::new(),
+            tenants: TenantDirectory::new(qos),
             answered: answer_window(),
+            job_ids: IdGen::strided(index, count),
+            stride: (index, count),
+        }
+    }
+
+    /// The registered job `job`.
+    pub(crate) fn job(&self, job: JobId) -> Result<&JobEntry> {
+        self.jobs.get(&job).ok_or(JiffyError::UnknownJob(job.raw()))
+    }
+
+    /// A deterministic [`StateMirror`] of the tables.
+    pub(crate) fn mirror(&self) -> StateMirror {
+        let mut jobs: Vec<JobMirror> = self
+            .jobs
+            .iter()
+            .map(|(id, entry)| {
+                let nodes = entry
+                    .hierarchy
+                    .names()
+                    .iter()
+                    .filter_map(|n| entry.hierarchy.get(n))
+                    .map(|node| NodeMirror {
+                        name: node.name.clone(),
+                        parents: node.parents.clone(),
+                        children: node.children.clone(),
+                        last_renewal_micros: micros(node.last_renewal),
+                        read: node.permissions.read,
+                        write: node.permissions.write,
+                        ds: node.ds.clone(),
+                        flushed_to: node.flushed_to.clone(),
+                        version: node.version,
+                    })
+                    .collect();
+                JobMirror {
+                    job: id.raw(),
+                    name: entry.name.clone(),
+                    nodes,
+                    tenant: entry.tenant.raw(),
+                }
+            })
+            .collect();
+        jobs.sort_by_key(|j| j.job);
+        let mut block_owner: Vec<(u64, u64, String)> = self
+            .block_owner
+            .iter()
+            .map(|(b, (j, n))| (b.raw(), j.raw(), n.clone()))
+            .collect();
+        block_owner.sort();
+        StateMirror {
+            jobs,
+            freelist: self.freelist.mirror(),
+            block_owner,
+            counters: self.counters.clone(),
+            next_job_id: self.job_ids.current(),
+            tenants: self.tenants.snapshot(),
+            answered: self.answered.entries(),
         }
     }
 
     /// Replaces every table with the contents of `mirror` (snapshot
-    /// install and `StateRewritten` replay).
+    /// install and `StateRewritten` replay); on error nothing changes.
     fn install_mirror(&mut self, mirror: &StateMirror) -> Result<()> {
+        let (index, count) = self.stride;
+        let freelist = FreeList::from_mirror(&mirror.freelist)?;
+        freelist.set_id_stride(index, count);
         let mut jobs = HashMap::new();
         for jm in &mirror.jobs {
             let mut hierarchy = AddressHierarchy::new();
@@ -266,260 +296,246 @@ impl RecoveredState {
                     version: nm.version,
                 });
             }
-            jobs.insert(
-                JobId(jm.job),
-                JobEntry {
-                    name: jm.name.clone(),
-                    hierarchy,
-                    tenant: TenantId(jm.tenant),
-                },
-            );
+            let entry = JobEntry {
+                name: jm.name.clone(),
+                hierarchy,
+                tenant: TenantId(jm.tenant),
+            };
+            jobs.insert(JobId(jm.job), entry);
         }
         self.jobs = jobs;
-        self.freelist = FreeList::from_mirror(&mirror.freelist)?;
+        self.freelist = freelist;
         self.block_owner = mirror
             .block_owner
             .iter()
             .map(|(b, j, n)| (BlockId(*b), (JobId(*j), n.clone())))
             .collect();
         self.counters = mirror.counters.clone();
-        self.next_job_id = mirror.next_job_id;
-        self.tenants = mirror.tenants.clone();
+        self.job_ids = IdGen::starting_at(mirror.next_job_id);
+        self.job_ids.set_stride(index, count);
+        self.tenants.install(mirror.tenants.clone());
         self.answered = answer_window();
         for (rid, answer) in &mirror.answered {
             record_answer(&mut self.answered, *rid, answer.clone());
         }
         Ok(())
     }
-}
 
-fn job_mut(jobs: &mut HashMap<JobId, JobEntry>, job: JobId) -> Result<&mut JobEntry> {
-    jobs.get_mut(&job).ok_or(JiffyError::UnknownJob(job.raw()))
-}
+    /// Allocates `locs` to node `name` of `job`: claims every replica
+    /// (all or none) and records each chain's owner.
+    fn claim_chains(&mut self, job: JobId, name: &str, locs: &[BlockLocation]) -> Result<()> {
+        self.freelist.claim(&blocks_of(locs))?;
+        for loc in locs {
+            self.block_owner.insert(loc.id(), (job, name.to_string()));
+        }
+        Ok(())
+    }
 
-/// Applies one journal record to the recovering tables. Pure metadata:
-/// no allocator policy, no data-plane calls, no clock reads.
-#[allow(clippy::too_many_lines)] // one arm per record type, linear
-pub(crate) fn apply_op(state: &mut RecoveredState, op: &JournalOp) -> Result<()> {
-    match op {
-        JournalOp::JobRegistered { job, name, tenant } => {
-            state.jobs.insert(
-                *job,
-                JobEntry {
+    /// Returns `blocks` to the pool and drops their owner entries.
+    pub(crate) fn release(&mut self, blocks: &[BlockId]) {
+        for block in blocks {
+            self.block_owner.remove(block);
+            let _ = self.freelist.release(*block);
+        }
+    }
+
+    /// Applies one journal record. Pure metadata: no allocator policy, no
+    /// data-plane calls, no clock reads. Every arm checks before it
+    /// mutates, so a record that fails to apply changes nothing.
+    #[allow(clippy::too_many_lines)] // one arm per record type, linear
+    pub(crate) fn apply_op(&mut self, op: &JournalOp) -> Result<()> {
+        match op {
+            JournalOp::JobRegistered { job, name, tenant } => {
+                if self.jobs.contains_key(job) {
+                    return Err(JiffyError::Internal(format!("{job} registered twice")));
+                }
+                let entry = JobEntry {
                     name: name.clone(),
                     hierarchy: AddressHierarchy::new(),
                     tenant: *tenant,
-                },
-            );
-            state.next_job_id = state.next_job_id.max(job.raw() + 1);
-        }
-        JournalOp::JobDeregistered { job } => {
-            let entry = state
-                .jobs
-                .remove(job)
-                .ok_or(JiffyError::UnknownJob(job.raw()))?;
-            for name in entry.hierarchy.names() {
-                let Some(node) = entry.hierarchy.get(&name) else {
-                    continue;
                 };
-                let Some(meta) = &node.ds else { continue };
-                for loc in meta.locations() {
-                    for replica in &loc.chain {
-                        state.block_owner.remove(&replica.block);
-                        let _ = state.freelist.release(replica.block);
+                self.jobs.insert(*job, entry);
+                self.job_ids.bump_to(job.raw() + 1);
+            }
+            JournalOp::JobDeregistered { job } => {
+                let entry = self
+                    .jobs
+                    .remove(job)
+                    .ok_or(JiffyError::UnknownJob(job.raw()))?;
+                self.release(&blocks_of(&entry.locations()));
+            }
+            JournalOp::PrefixCreated {
+                job,
+                name,
+                parents,
+                locs,
+                skeleton,
+                now_micros,
+            } => {
+                let meta = match skeleton {
+                    Some(sk) => Some(DsMeta::from_skeleton(&from_bytes(sk)?, locs.clone())?),
+                    None => None,
+                };
+                self.job(*job)?
+                    .hierarchy
+                    .check_new_node(name, parents, &[])?;
+                if meta.is_some() {
+                    self.claim_chains(*job, name, locs)?;
+                }
+                let hierarchy = &mut job_mut(&mut self.jobs, *job)?.hierarchy;
+                hierarchy.add_node(name, parents, Duration::from_micros(*now_micros))?;
+                if let Some(node) = hierarchy.get_mut(name) {
+                    node.ds = meta;
+                }
+            }
+            JournalOp::ParentAdded { job, name, parent } => {
+                job_mut(&mut self.jobs, *job)?
+                    .hierarchy
+                    .add_parent(name, parent)?;
+            }
+            JournalOp::PrefixRemoved { job, name } => {
+                let hierarchy = &mut job_mut(&mut self.jobs, *job)?.hierarchy;
+                let node = hierarchy.resolve_name(name)?;
+                let locs = hierarchy
+                    .get(&node)
+                    .and_then(|n| n.ds.as_ref())
+                    .map(DsMeta::locations)
+                    .unwrap_or_default();
+                hierarchy.remove_node(&node)?;
+                self.release(&blocks_of(&locs));
+            }
+            JournalOp::LeaseRenewed {
+                job,
+                name,
+                now_micros,
+            } => {
+                job_mut(&mut self.jobs, *job)?
+                    .hierarchy
+                    .renew(name, Duration::from_micros(*now_micros))?;
+            }
+            JournalOp::PrefixFlushed {
+                job,
+                name,
+                path,
+                reclaimed,
+                expired,
+            } => {
+                let node = job_mut(&mut self.jobs, *job)?.hierarchy.resolve_mut(name)?;
+                node.flushed_to = Some(path.clone());
+                if *reclaimed {
+                    let locs = node.ds.take().map(|m| m.locations()).unwrap_or_default();
+                    node.version += 1;
+                    self.release(&blocks_of(&locs));
+                    if *expired {
+                        self.counters.leases_expired += 1;
                     }
                 }
             }
-        }
-        JournalOp::PrefixCreated {
-            job,
-            name,
-            parents,
-            locs,
-            skeleton,
-            now_micros,
-        } => {
-            let entry = job_mut(&mut state.jobs, *job)?;
-            entry
-                .hierarchy
-                .add_node(name, parents, Duration::from_micros(*now_micros))?;
-            if let Some(sk) = skeleton {
-                let skel: DsSkeleton = from_bytes(sk)?;
-                for loc in locs {
-                    for replica in &loc.chain {
-                        state.freelist.claim(replica.block)?;
-                    }
-                    state.block_owner.insert(loc.id(), (*job, name.clone()));
+            JournalOp::PrefixLoaded {
+                job,
+                name,
+                path,
+                locs,
+                skeleton,
+            } => {
+                let meta = DsMeta::from_skeleton(&from_bytes(skeleton)?, locs.clone())?;
+                let node = self.job(*job)?.hierarchy.resolve(name)?;
+                if node.ds.is_some() {
+                    return Err(JiffyError::Internal(format!(
+                        "load record over the live data structure of {name}"
+                    )));
                 }
-                let meta = DsMeta::from_skeleton(&skel, locs.clone())?;
-                let entry = job_mut(&mut state.jobs, *job)?;
-                if let Ok(node) = entry.hierarchy.resolve_mut(name) {
-                    node.ds = Some(meta);
-                }
-            }
-        }
-        JournalOp::ParentAdded { job, name, parent } => {
-            job_mut(&mut state.jobs, *job)?
-                .hierarchy
-                .add_parent(name, parent)?;
-        }
-        JournalOp::PrefixRemoved { job, name } => {
-            let entry = job_mut(&mut state.jobs, *job)?;
-            if let Ok(node) = entry.hierarchy.resolve_mut(name) {
-                let locs = node.ds.as_ref().map(DsMeta::locations).unwrap_or_default();
-                node.ds = None;
+                self.claim_chains(*job, name, locs)?;
+                let node = job_mut(&mut self.jobs, *job)?.hierarchy.resolve_mut(name)?;
+                node.ds = Some(meta);
                 node.version += 1;
-                for loc in &locs {
-                    for replica in &loc.chain {
-                        state.block_owner.remove(&replica.block);
-                        let _ = state.freelist.release(replica.block);
-                    }
-                }
+                node.flushed_to = Some(path.clone());
             }
-            job_mut(&mut state.jobs, *job)?
-                .hierarchy
-                .remove_node(name)?;
-        }
-        JournalOp::LeaseRenewed {
-            job,
-            name,
-            now_micros,
-        } => {
-            job_mut(&mut state.jobs, *job)?
-                .hierarchy
-                .renew(name, Duration::from_micros(*now_micros))?;
-        }
-        JournalOp::PrefixFlushed {
-            job,
-            name,
-            path,
-            reclaimed,
-            expired,
-        } => {
-            let entry = job_mut(&mut state.jobs, *job)?;
-            let node = entry.hierarchy.resolve_mut(name)?;
-            node.flushed_to = Some(path.clone());
-            if *reclaimed {
-                let locs = node.ds.as_ref().map(DsMeta::locations).unwrap_or_default();
-                node.ds = None;
+            JournalOp::ServerJoined {
+                server,
+                addr,
+                blocks,
+                now_micros: _,
+            } => {
+                self.freelist
+                    .restore_server(*server, addr.clone(), blocks)?;
+            }
+            JournalOp::SplitCommitted {
+                job,
+                name,
+                source,
+                spec,
+                new_loc,
+            } => {
+                let new_blocks = blocks_of(std::slice::from_ref(new_loc));
+                self.freelist.check_claim(&new_blocks)?;
+                let node = job_mut(&mut self.jobs, *job)?.hierarchy.resolve_mut(name)?;
+                let meta = node.ds.as_mut().ok_or_else(|| {
+                    JiffyError::Internal(format!("split record for ds-less prefix {name}"))
+                })?;
+                meta.commit_split(*source, spec, new_loc.clone())?;
                 node.version += 1;
-                for loc in &locs {
-                    for replica in &loc.chain {
-                        state.block_owner.remove(&replica.block);
-                        let _ = state.freelist.release(replica.block);
-                    }
+                self.claim_chains(*job, name, std::slice::from_ref(new_loc))?;
+                self.counters.splits += 1;
+            }
+            JournalOp::MergeCommitted {
+                job,
+                name,
+                source,
+                spec,
+                target,
+                released,
+            } => {
+                let node = job_mut(&mut self.jobs, *job)?.hierarchy.resolve_mut(name)?;
+                let meta = node.ds.as_mut().ok_or_else(|| {
+                    JiffyError::Internal(format!("merge record for ds-less prefix {name}"))
+                })?;
+                meta.commit_merge(*source, spec, target.as_ref())?;
+                node.version += 1;
+                self.release(released);
+                self.counters.merges += 1;
+            }
+            JournalOp::ScaleEvent { up } => {
+                if *up {
+                    self.counters.scale_ups += 1;
+                } else {
+                    self.counters.scale_downs += 1;
                 }
-                if *expired {
-                    state.counters.leases_expired += 1;
-                }
+            }
+            JournalOp::StateRewritten { mirror } => {
+                self.install_mirror(&decode_mirror(mirror)?)?;
+            }
+            JournalOp::TenantConfigured {
+                tenant,
+                share,
+                quota_bytes,
+                ops_per_sec,
+                bytes_per_sec,
+            } => {
+                self.tenants
+                    .set(*tenant, *share, *quota_bytes, *ops_per_sec, *bytes_per_sec);
+            }
+            JournalOp::Answered { rid, resp } => {
+                record_answer(&mut self.answered, *rid, to_bytes(resp)?);
             }
         }
-        JournalOp::PrefixLoaded {
-            job,
-            name,
-            path,
-            locs,
-            skeleton,
-        } => {
-            let skel: DsSkeleton = from_bytes(skeleton)?;
-            for loc in locs {
-                for replica in &loc.chain {
-                    state.freelist.claim(replica.block)?;
-                }
-                state.block_owner.insert(loc.id(), (*job, name.clone()));
-            }
-            let meta = DsMeta::from_skeleton(&skel, locs.clone())?;
-            let entry = job_mut(&mut state.jobs, *job)?;
-            let node = entry.hierarchy.resolve_mut(name)?;
-            node.ds = Some(meta);
-            node.version += 1;
-            node.flushed_to = Some(path.clone());
-        }
-        JournalOp::ServerJoined {
-            server,
-            addr,
-            blocks,
-            now_micros: _,
-        } => {
-            state.freelist.restore_server(*server, addr.clone(), blocks);
-        }
-        JournalOp::SplitCommitted {
-            job,
-            name,
-            source,
-            spec,
-            new_loc,
-        } => {
-            for replica in &new_loc.chain {
-                state.freelist.claim(replica.block)?;
-            }
-            state.block_owner.insert(new_loc.id(), (*job, name.clone()));
-            let entry = job_mut(&mut state.jobs, *job)?;
-            let node = entry.hierarchy.resolve_mut(name)?;
-            let meta = node.ds.as_mut().ok_or_else(|| {
-                JiffyError::Internal(format!("split record for ds-less prefix {name}"))
-            })?;
-            meta.commit_split(*source, spec, new_loc.clone())?;
-            node.version += 1;
-            state.counters.splits += 1;
-        }
-        JournalOp::MergeCommitted {
-            job,
-            name,
-            source,
-            spec,
-            target,
-            released,
-        } => {
-            let entry = job_mut(&mut state.jobs, *job)?;
-            let node = entry.hierarchy.resolve_mut(name)?;
-            let meta = node.ds.as_mut().ok_or_else(|| {
-                JiffyError::Internal(format!("merge record for ds-less prefix {name}"))
-            })?;
-            meta.commit_merge(*source, spec, target.as_ref())?;
-            node.version += 1;
-            for block in released {
-                state.block_owner.remove(block);
-                let _ = state.freelist.release(*block);
-            }
-            state.counters.merges += 1;
-        }
-        JournalOp::ScaleEvent { up } => {
-            if *up {
-                state.counters.scale_ups += 1;
-            } else {
-                state.counters.scale_downs += 1;
-            }
-        }
-        JournalOp::StateRewritten { mirror } => {
-            state.install_mirror(&decode_mirror(mirror)?)?;
-        }
-        JournalOp::TenantConfigured {
-            tenant,
-            share,
-            quota_bytes,
-            ops_per_sec,
-            bytes_per_sec,
-        } => {
-            let limit = TenantLimit {
-                tenant: *tenant,
-                share: (*share).max(1),
-                quota_bytes: *quota_bytes,
-                ops_per_sec: *ops_per_sec,
-                bytes_per_sec: *bytes_per_sec,
-            };
-            // Upsert, keeping the vector sorted by tenant id so the
-            // recovered snapshot matches the live directory's order.
-            match state.tenants.binary_search_by_key(tenant, |l| l.tenant) {
-                Ok(i) => state.tenants[i] = limit,
-                Err(i) => state.tenants.insert(i, limit),
-            }
-        }
-        JournalOp::Answered { rid, resp } => {
-            record_answer(&mut state.answered, *rid, to_bytes(resp)?);
-        }
+        Ok(())
     }
-    Ok(())
+}
+
+/// A clock reading in whole microseconds, as records and mirrors carry it.
+pub(crate) fn micros(at: Duration) -> u64 {
+    u64::try_from(at.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Decodes a wire-encoded [`StateMirror`]; one written before the replay
+/// window joined it ends a field early and decodes with an empty window.
+pub(crate) fn decode_mirror(bytes: &[u8]) -> Result<StateMirror> {
+    from_bytes(bytes).or_else(|err| {
+        let mut padded = bytes.to_vec();
+        padded.extend(to_bytes(&Vec::<(u64, Vec<u8>)>::new())?);
+        from_bytes(&padded).map_err(|_| err)
+    })
 }
 
 /// Extracts the zero-padded sequence suffix from an object path.
@@ -527,12 +543,17 @@ fn parse_seq(path: &str, prefix: &str) -> Option<u64> {
     path.strip_prefix(prefix)?.parse().ok()
 }
 
-/// Rebuilds controller metadata from the persistent tier: newest
+/// Rebuilds a shard's tables from the persistent tier onto `tables`
+/// (empty, carrying the shard's id stride and QoS defaults): newest
 /// snapshot first, then every journal record past it, in order, skipping
 /// already-applied sequence numbers (replay is idempotent — applying the
-/// same journal twice yields identical state).
-pub(crate) fn recover_from(store: &dyn ObjectStore, meta_prefix: &str) -> Result<RecoveredState> {
-    let mut state = RecoveredState::empty();
+/// same journal twice yields identical state). Also returns the sequence
+/// number the resumed journal should issue next.
+pub(crate) fn recover_from(
+    store: &dyn ObjectStore,
+    meta_prefix: &str,
+    mut tables: Tables,
+) -> Result<(Tables, u64)> {
     let mut last_applied: Option<u64> = None;
     let snapshot_prefix = format!("{meta_prefix}{SNAPSHOT_DIR}");
     let journal_prefix = format!("{meta_prefix}{JOURNAL_DIR}");
@@ -547,7 +568,7 @@ pub(crate) fn recover_from(store: &dyn ObjectStore, meta_prefix: &str) -> Result
     snapshots.sort();
     if let Some(path) = snapshots.last() {
         let snap: JournalSnapshot = from_bytes(&store.get(path)?)?;
-        state.install_mirror(&decode_mirror(&snap.mirror)?)?;
+        tables.install_mirror(&decode_mirror(&snap.mirror)?)?;
         last_applied = Some(snap.last_seq);
     }
 
@@ -563,13 +584,11 @@ pub(crate) fn recover_from(store: &dyn ObjectStore, meta_prefix: &str) -> Result
             if last_applied.is_some_and(|l| record.seq <= l) {
                 continue;
             }
-            apply_op(&mut state, &record.op)?;
+            tables.apply_op(&record.op)?;
             last_applied = Some(record.seq);
         }
     }
-
-    state.next_seq = last_applied.map_or(0, |l| l + 1);
-    Ok(state)
+    Ok((tables, last_applied.map_or(0, |l| l + 1)))
 }
 
 /// The controller's write-ahead journal handle: sequence allocation,

@@ -15,39 +15,68 @@
 
 use jiffy_common::clock::{ManualClock, SharedClock};
 use jiffy_common::{BlockId, JiffyConfig};
-use jiffy_controller::{Controller, NoopDataPlane, ShardedController};
+use jiffy_controller::{Controller, NoopDataPlane, ShardedController, StateMirror};
 use jiffy_persistent::{MemObjectStore, ObjectStore};
-use jiffy_proto::{ControlRequest, ControlResponse, DsType, Envelope, CLIENT_RID_BASE};
+use jiffy_proto::{
+    ControlRequest, ControlResponse, DagNodeSpec, DsType, Envelope, CLIENT_RID_BASE,
+};
 use jiffy_rpc::{Service, SessionHandle};
 use jiffy_sync::Arc;
 use proptest::prelude::*;
 
+/// A node name: six names, so histories revisit them.
+fn name_of(arg: u8) -> String {
+    format!("n{}", arg % 6)
+}
+
+/// A plain name, or for some `arg`s a dotted path ending at it, which
+/// resolves only while the edge it spells exists.
+fn path_of(arg: u8) -> String {
+    if arg & 0x40 == 0 {
+        name_of(arg)
+    } else {
+        format!("{}.{}", name_of(arg / 8), name_of(arg))
+    }
+}
+
 /// One random control-plane action, decoded from an `(opcode, arg)` pair.
 fn request_for(job: jiffy_common::JobId, opcode: u8, arg: u8) -> ControlRequest {
-    let name = format!("n{}", arg % 6);
-    match opcode % 8 {
+    let name = name_of(arg);
+    match opcode % 11 {
         0 => ControlRequest::CreatePrefix {
             job,
             name,
-            parents: vec![],
+            parents: if arg & 0x80 == 0 {
+                vec![]
+            } else {
+                vec![name_of(arg / 8)]
+            },
             ds: Some(match arg % 3 {
                 0 => DsType::KvStore,
                 1 => DsType::File,
                 _ => DsType::Queue,
             }),
-            initial_blocks: 1 + u32::from(arg % 2),
+            // Up to four chains: a flushed image can outgrow what is
+            // free when it loads back.
+            initial_blocks: 1 + u32::from(arg % 4),
         },
-        1 => ControlRequest::RemovePrefix { job, name },
-        2 => ControlRequest::RenewLease { job, name },
+        1 => ControlRequest::RemovePrefix {
+            job,
+            name: path_of(arg),
+        },
+        2 => ControlRequest::RenewLease {
+            job,
+            name: path_of(arg),
+        },
         3 => ControlRequest::FlushPrefix {
             job,
-            name,
+            name: path_of(arg),
             external_path: format!("ext/{}", arg % 6),
         },
         4 => ControlRequest::LoadPrefix {
             job,
             name,
-            external_path: format!("ext/{}", arg % 6),
+            external_path: format!("ext/{}", (arg / 8) % 6),
         },
         5 => ControlRequest::JoinServer {
             addr: format!("inproc:extra-{arg}"),
@@ -57,9 +86,44 @@ fn request_for(job: jiffy_common::JobId, opcode: u8, arg: u8) -> ControlRequest 
             block: BlockId(u64::from(arg % 16)),
             used: u64::MAX / 2,
         },
-        _ => ControlRequest::ReportUnderload {
+        7 => ControlRequest::ReportUnderload {
             block: BlockId(u64::from(arg % 16)),
             used: 0,
+        },
+        // Three nodes, the second under the first; the third's parent
+        // is missing for odd `arg`s, which must fail the whole request.
+        8 => {
+            let node = |name: String, parents: Vec<String>| DagNodeSpec {
+                name,
+                parents,
+                ds: Some(DsType::File),
+                initial_blocks: 1,
+            };
+            let third_parent = if arg % 2 == 1 {
+                "ghost".to_string()
+            } else {
+                name_of(arg / 8)
+            };
+            ControlRequest::CreateHierarchy {
+                job,
+                nodes: vec![
+                    node(name_of(arg), vec![]),
+                    node(name_of(arg / 8), vec![name_of(arg)]),
+                    node(name_of(arg / 64), vec![third_parent]),
+                ],
+            }
+        }
+        9 => ControlRequest::AddParent {
+            job,
+            name,
+            parent: name_of(arg / 8),
+        },
+        _ => ControlRequest::SetTenantShare {
+            tenant: jiffy_common::TenantId(1 + u64::from(arg % 3)),
+            share: u32::from(arg % 4),
+            quota_bytes: u64::from(arg) << 20,
+            ops_per_sec: 0,
+            bytes_per_sec: 0,
         },
     }
 }
@@ -124,20 +188,27 @@ fn recovered(r: &Rig) -> Arc<Controller> {
 
 /// Plays a history. `mode % 4`: 0 dispatches untracked, 1 and 2 send an
 /// envelope with a fresh client rid, 3 re-sends the last such envelope
-/// (a client retry: same id, same request).
-fn play(r: &Rig, ops: &[(u8, u8, u8)]) {
+/// (a client retry: same id, same request). Calls `after` with each
+/// request's outcome and the normalized mirrors before and after it.
+fn play_observed(
+    r: &Rig,
+    ops: &[(u8, u8, u8)],
+    mut after: impl FnMut(&ControlRequest, bool, &StateMirror, &StateMirror),
+) {
     let session = SessionHandle::new(Arc::new(|_| {}));
     let mut last: Option<Envelope> = None;
     for (i, (opcode, arg, mode)) in ops.iter().enumerate() {
         let req = request_for(r.job, *opcode, *arg);
+        let before = r.ctrl.state_mirror().normalized();
         // Individual requests may legitimately fail (duplicate create,
         // flush of a bare prefix, unknown block); the invariant under
         // test is journal fidelity, not op success.
         let env = match mode % 4 {
-            0 => {
-                let _ = r.ctrl.dispatch(req);
-                continue;
-            }
+            0 => Envelope::ControlReq {
+                id: jiffy_proto::INTERNAL_RID,
+                req,
+                tenant: jiffy_common::TenantId::ANONYMOUS,
+            },
             3 if last.is_some() => last.clone().expect("checked"),
             _ => Envelope::ControlReq {
                 id: CLIENT_RID_BASE + i as u64,
@@ -145,13 +216,25 @@ fn play(r: &Rig, ops: &[(u8, u8, u8)]) {
                 tenant: jiffy_common::TenantId::ANONYMOUS,
             },
         };
-        let _ = r.plane.handle(env.clone(), &session);
-        last = Some(env);
+        let failed = match r.plane.handle(env.clone(), &session) {
+            Envelope::ControlResp { resp, .. } => resp.is_err(),
+            other => panic!("{other:?}"),
+        };
+        if let Envelope::ControlReq { id, req, .. } = &env {
+            after(req, failed, &before, &r.ctrl.state_mirror().normalized());
+            if *id != jiffy_proto::INTERNAL_RID {
+                last = Some(env);
+            }
+        }
     }
 }
 
+fn play(r: &Rig, ops: &[(u8, u8, u8)]) {
+    play_observed(r, ops, |_, _, _, _| {});
+}
+
 fn history() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
-    proptest::collection::vec((0u8..8, any::<u8>(), any::<u8>()), 1..40)
+    proptest::collection::vec((0u8..11, any::<u8>(), any::<u8>()), 1..40)
 }
 
 fn assert_equivalent(live: &Controller, rec: &Controller) -> Result<(), TestCaseError> {
@@ -203,5 +286,21 @@ proptest! {
         // journal: doing it again produces the same controller.
         let second = recovered(&r);
         prop_assert_eq!(first.state_mirror(), second.state_mirror());
+    }
+
+    /// A request that returns an error changed nothing: no block taken
+    /// or freed, no node half-made, no answer recorded — so nothing the
+    /// journal never saw.
+    #[test]
+    fn failed_requests_leave_no_trace(ops in history()) {
+        let r = rig(JiffyConfig::for_testing().with_meta_snapshot_every(3));
+        let mut traces = Vec::new();
+        play_observed(&r, &ops, |req, failed, before, after| {
+            if failed && before != after {
+                traces.push(format!("{req:?}"));
+            }
+        });
+        prop_assert!(traces.is_empty(), "failed requests changed state: {:?}", traces);
+        assert_equivalent(&r.ctrl, &recovered(&r))?;
     }
 }
