@@ -353,9 +353,8 @@ impl JobEntry {
     }
 }
 
-/// Monotonic stats counters. Serializable so snapshots and
-/// `StateRewritten` journal records carry them across a controller
-/// restart (DESIGN.md §11).
+/// Monotonic stats counters. Serializable so snapshots carry them
+/// across a controller restart (DESIGN.md §11).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Counters {
     /// Control requests dispatched.
@@ -388,8 +387,7 @@ type UnderloadOutcome = (
 );
 
 struct CtrlState {
-    /// The journaled tables; changed only by applying journal records,
-    /// except on the `StateRewritten` paths (drain, migration, failure).
+    /// The journaled tables; changed only by applying journal records.
     tables: Tables,
     /// Heartbeat bookkeeping for the failure detector.
     detector: FailureDetector,
@@ -487,7 +485,8 @@ fn invalidates_placement(op: &JournalOp) -> bool {
         op,
         JournalOp::SplitCommitted { .. }
             | JournalOp::MergeCommitted { .. }
-            | JournalOp::StateRewritten { .. }
+            | JournalOp::ChainRewired { .. }
+            | JournalOp::ServerFailed { .. }
             | JournalOp::PrefixRemoved { .. }
             | JournalOp::PrefixFlushed {
                 reclaimed: true,
@@ -660,17 +659,13 @@ impl Controller {
     /// Applies `ops` to the tables with the same [`Tables::apply_op`]
     /// replay uses, then appends them to the write-ahead journal as one
     /// atomic batch and snapshots/truncates if the record budget is used
-    /// up. A `StateRewritten` record is not applied: its mirror was taken
-    /// from the tables it would install, which drain, migration and
-    /// failure handling mutate in place. An empty batch is a no-op.
+    /// up. An empty batch is a no-op.
     fn apply_and_journal(&self, st: &mut CtrlState, ops: Vec<JournalOp>) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
         }
         for op in &ops {
-            if !matches!(op, JournalOp::StateRewritten { .. }) {
-                st.tables.apply_op(op)?;
-            }
+            st.tables.apply_op(op)?;
         }
         let bumps_epoch = ops.iter().any(invalidates_placement);
         st.journal.append(ops)?;
@@ -705,15 +700,6 @@ impl Controller {
         }
         self.apply_and_journal(st, ops)?;
         Ok(resp)
-    }
-
-    /// A `StateRewritten` journal record capturing the full current
-    /// state; used by multi-step transitions (drains, failure handling)
-    /// whose outcomes are impractical to log record-by-record.
-    fn rewrite_op(st: &CtrlState) -> Result<JournalOp> {
-        Ok(JournalOp::StateRewritten {
-            mirror: jiffy_proto::to_bytes(&st.tables.mirror())?,
-        })
     }
 
     /// A deterministic serialization of the controller's entire
@@ -751,6 +737,8 @@ impl Controller {
         let tables = &st.tables;
         let mut out = Vec::new();
         let mut seen_heads: HashSet<BlockId> = HashSet::new();
+        // How many chains each replica block appears in.
+        let mut chains_of: HashMap<BlockId, usize> = HashMap::new();
         let count = u64::from(self.shard.count);
         for (job, entry) in &tables.jobs {
             // The router sends a job to shard `job % count` only.
@@ -788,6 +776,7 @@ impl Controller {
                         )),
                     }
                     for replica in &loc.chain {
+                        *chains_of.entry(replica.block).or_default() += 1;
                         if tables.freelist.is_free(replica.block) {
                             out.push(format!(
                                 "replica block {} of {name} is on the freelist",
@@ -804,6 +793,20 @@ impl Controller {
                     "block_owner entry {} points at no live prefix block",
                     block.raw()
                 ));
+            }
+        }
+        // Every allocated block belongs to exactly one chain: one in none
+        // leaked, one in two is shared.
+        for load in tables.freelist.server_loads() {
+            for block in tables
+                .freelist
+                .used_blocks_on(load.server)
+                .unwrap_or_default()
+            {
+                let n = chains_of.get(&block).copied().unwrap_or(0);
+                if n != 1 {
+                    out.push(format!("allocated block {} is in {n} chains", block.raw()));
+                }
             }
         }
         out
@@ -1008,17 +1011,14 @@ impl Controller {
                 Ok(resp)
             }
             ControlRequest::LeaveServer { server } => {
-                let blocks_migrated = self.drain_server_locked(st, server)?;
-                st.tables.freelist.deregister_server(server)?;
-                st.detector.forget(server);
-                // Drained state is a multi-step outcome; checkpoint it
-                // wholesale rather than record-by-record.
-                let ops = vec![Self::rewrite_op(st)?];
+                let (ops, blocks_migrated) = self.drain_server(st, server)?;
                 let resp = ControlResponse::Drained {
                     server,
                     blocks_migrated,
                 };
-                self.commit(st, rid, ops, resp)
+                let resp = self.commit(st, rid, ops, resp)?;
+                st.detector.forget(server);
+                Ok(resp)
             }
             ControlRequest::Heartbeat {
                 server,
@@ -1416,7 +1416,7 @@ impl Controller {
         {
             return Ok((None, None, Vec::new()));
         }
-        let source_loc = st.tables.freelist.location_of(block)?;
+        let source_loc = Self::chain_of(meta, block)?;
         let new_loc = match st.tables.freelist.pick_chain(chain, &[]) {
             Ok(l) => l,
             // Capacity exhausted: the block keeps serving; writes beyond
@@ -1454,7 +1454,7 @@ impl Controller {
         let Some(plan) = meta.plan_merge(block)? else {
             return Ok((None, None, Vec::new(), None));
         };
-        let source_loc = st.tables.freelist.location_of(block)?;
+        let source_loc = Self::chain_of(meta, block)?;
         // Pick the first candidate with room for the source's contents
         // without immediately re-crossing the high threshold.
         let target = if plan.candidates.is_empty() {
@@ -1501,161 +1501,126 @@ impl Controller {
         Ok((target, Some(plan.spec), vec![op], Some(source_loc)))
     }
 
-    /// Finds the logical chain a physical block belongs to, along with
-    /// its owning job and prefix. Linear in the number of live chains;
-    /// only walked on the (rare) drain and failure paths.
-    fn find_chain_of(st: &CtrlState, block: BlockId) -> Option<(JobId, String, BlockLocation)> {
-        for (job, entry) in &st.tables.jobs {
+    /// The chain of `meta` whose head is `block`, every replica included.
+    fn chain_of(meta: &DsMeta, block: BlockId) -> Result<BlockLocation> {
+        let mut locs = meta.locations().into_iter();
+        locs.find(|loc| loc.id() == block)
+            .ok_or(JiffyError::UnknownBlock(block.raw()))
+    }
+
+    /// Every chain with a replica on `server`, with its job and prefix,
+    /// in (job, name, layout) order: drain and failure handling decide in
+    /// this order, so one history journals one sequence of records.
+    fn chains_on(st: &CtrlState, server: ServerId) -> Vec<(JobId, String, BlockLocation)> {
+        let mut jobs: Vec<_> = st.tables.jobs.iter().collect();
+        jobs.sort_unstable_by_key(|(job, _)| **job);
+        let mut out = Vec::new();
+        for (job, entry) in jobs {
             for name in entry.hierarchy.names() {
-                let Some(node) = entry.hierarchy.get(&name) else {
-                    continue;
-                };
-                let Some(meta) = &node.ds else {
-                    continue;
-                };
-                for loc in meta.locations() {
-                    if loc.chain.iter().any(|r| r.block == block) {
-                        return Some((*job, name, loc));
+                let meta = entry.hierarchy.get(&name).and_then(|n| n.ds.as_ref());
+                for loc in meta.map(DsMeta::locations).unwrap_or_default() {
+                    if loc.chain.iter().any(|r| r.server == server) {
+                        out.push((*job, name.clone(), loc));
                     }
                 }
             }
         }
-        None
+        out
     }
 
-    /// Live-migrates one logical chain to freshly allocated blocks
+    /// Drains `server` for `LeaveServer`. Decides every move against the
+    /// unchanged tables — each chain with a replica on the server gets a
+    /// replacement picked off the server's blocks — so a drain without
+    /// room fails without a trace. Then migrates the chains one by one,
+    /// each journaled as it lands (the first batch also marks the server
+    /// draining), and returns the closing records plus how many of the
+    /// server's blocks moved. An effect that fails keeps exactly the
+    /// migrations already journaled.
+    fn drain_server(&self, st: &mut CtrlState, server: ServerId) -> Result<(Vec<JournalOp>, u32)> {
+        if st.tables.freelist.state_of(server)? == ServerState::Dead {
+            return Err(JiffyError::Internal(format!(
+                "cannot drain dead server {server}"
+            )));
+        }
+        let mut taken = st.tables.freelist.blocks_on(server)?;
+        let mut moves = Vec::new();
+        for (job, name, old) in Self::chains_on(st, server) {
+            let new = st.tables.freelist.pick_chain(old.chain.len(), &taken)?;
+            taken.extend(new.chain.iter().map(|r| r.block));
+            moves.push((job, name, old, new));
+        }
+        let mut ops = vec![JournalOp::ServerDraining { server }];
+        let mut migrated = 0u32;
+        for (job, name, old, new) in moves {
+            let opening = std::mem::take(&mut ops);
+            self.migrate_chain(st, opening, job, name, &old, new)?;
+            migrated += old.chain.iter().filter(|r| r.server == server).count() as u32;
+        }
+        ops.push(JournalOp::ServerRemoved { server });
+        Ok((ops, migrated))
+    }
+
+    /// Live-migrates one chain of prefix `name` to the picked chain `new`
     /// (paper §3.3 discipline): seal the source so its image freezes
-    /// while reads keep serving, copy it out, stand the copy up
-    /// elsewhere, atomically swap the metadata entry under the state
-    /// lock, then retire the source behind a `BlockMoved` redirect. A
-    /// client op racing the move lands exactly once — at the old home
-    /// before the seal, or at the new home after a retryable error
-    /// (`StaleMetadata` / `BlockMoved`) and a refresh.
-    fn migrate_logical(
+    /// while reads keep serving, copy it out, stand the copy up on `new`,
+    /// journal `ops` plus the `ChainRewired` record, then retire the
+    /// source behind a `BlockMoved` redirect. A client op racing the move
+    /// lands exactly once — at the old home before the seal, or at the
+    /// new home after a retryable error (`StaleMetadata` / `BlockMoved`)
+    /// and a refresh. A failure before the record unseals the source.
+    fn migrate_chain(
         &self,
         st: &mut CtrlState,
+        mut ops: Vec<JournalOp>,
         job: JobId,
-        name: &str,
-        old_loc: &BlockLocation,
-    ) -> Result<BlockLocation> {
-        // Target init params mirror the load path: initialize empty and
-        // absorb the frozen image (the export carries all chunk / range
-        // state, so KV mirrors start with no owned ranges).
-        let (ds, params) = {
-            let node = st.tables.job(job)?.hierarchy.resolve(name)?;
-            let meta = node
-                .ds
-                .as_ref()
-                .ok_or(JiffyError::UnknownBlock(old_loc.id().raw()))?;
-            (meta.ds_type(), empty_params(&meta.skeleton())?)
-        };
-        // 1. Seal: mutations bounce with StaleMetadata (clients refresh
-        //    and retry); reads keep serving from the old tail.
-        self.dataplane.seal_block(old_loc, true)?;
-        // 2. Copy the now-frozen image out of the old tail, replay
-        //    window included: a write retried across the migration
-        //    re-resolves to the new home and must still be answered
-        //    from the window rather than re-executed.
-        let (payload, replay) = match self.dataplane.export_block(old_loc) {
-            Ok(p) => p,
-            Err(e) => {
-                let _ = self.dataplane.seal_block(old_loc, false);
-                return Err(e);
-            }
-        };
-        // 3. Stand up the replacement chain and absorb the image.
-        let new_loc = match st.tables.freelist.pick_chain(old_loc.chain.len(), &[]) {
-            Ok(l) => l,
-            Err(e) => {
-                let _ = self.dataplane.seal_block(old_loc, false);
-                return Err(e);
-            }
-        };
-        let staged = self
+        name: String,
+        old: &BlockLocation,
+        new: BlockLocation,
+    ) -> Result<()> {
+        // Initialize empty and absorb the frozen image, as a load does.
+        let node = st.tables.job(job)?.hierarchy.resolve(&name)?;
+        let meta = node
+            .ds
+            .as_ref()
+            .ok_or(JiffyError::UnknownBlock(old.id().raw()))?;
+        let (ds, params) = (meta.ds_type(), empty_params(&meta.skeleton())?);
+        self.dataplane.seal_block(old, true)?;
+        // The image carries the replay window: a write retried across
+        // the move re-resolves to the new home and must still be
+        // answered from the window rather than re-executed.
+        let moved = self
             .dataplane
-            .init_block(&new_loc, ds, &params)
-            .and_then(|()| {
-                self.dataplane
-                    .import_payload(&new_loc, &Blob::new(payload), &replay)
+            .export_block(old)
+            .and_then(|(payload, replay)| {
+                self.dataplane.init_block(&new, ds, &params)?;
+                self.dataplane.import_payload(&new, &payload, &replay)?;
+                // Journal the new placement before the source is retired:
+                // past the retire the image's only copy is on `new`.
+                ops.push(JournalOp::ChainRewired {
+                    job,
+                    name,
+                    old: old.clone(),
+                    new: new.clone(),
+                    released: journal::blocks_of(std::slice::from_ref(old)),
+                });
+                self.apply_and_journal(st, ops)
             });
-        // 4. Swap the metadata entry. The state lock is already held, so
-        //    clients observe either the old or the new location, never a
-        //    gap; the version bump invalidates cached views.
-        let swapped = staged.and_then(|()| {
-            let entry = st.tables.jobs.get_mut(&job);
-            let node = entry
-                .ok_or(JiffyError::UnknownJob(job.raw()))?
-                .hierarchy
-                .resolve_mut(name)?;
-            let meta = node
-                .ds
-                .as_mut()
-                .ok_or(JiffyError::UnknownBlock(old_loc.id().raw()))?;
-            meta.replace_location(old_loc.id(), new_loc.clone())?;
-            node.version += 1;
-            Ok(())
-        });
-        if let Err(e) = swapped {
-            let _ = self.dataplane.reset_block(&new_loc);
-            let _ = self.dataplane.seal_block(old_loc, false);
+        if let Err(e) = moved {
+            let _ = self.dataplane.seal_block(old, false);
             return Err(e);
         }
-        let new_blocks = journal::blocks_of(std::slice::from_ref(&new_loc));
-        st.tables.freelist.claim(&new_blocks)?;
-        st.tables.block_owner.remove(&old_loc.id());
-        st.tables
-            .block_owner
-            .insert(new_loc.id(), (job, name.to_string()));
-        // 4b. Journal the new placement before the sources are retired:
-        //     past this append the image's only copy may live on the
-        //     new chain, so replay must already route there. (The old
-        //     chain is still allocated in this record; the caller's
-        //     closing rewrite covers its release.)
-        let op = Self::rewrite_op(st)?;
-        self.apply_and_journal(st, vec![op])?;
-        // 5. Retire the sources: each keeps a redirect tombstone, so an
-        //    op that raced the swap gets BlockMoved (retryable) rather
-        //    than a stale answer. Best-effort — a dead source just means
-        //    the client refreshes via Unavailable instead.
-        let _ = self.dataplane.retire_block(old_loc, new_loc.head());
-        // 6. Give the sources back (parked when their home is leaving).
-        st.tables
-            .release(&journal::blocks_of(std::slice::from_ref(old_loc)));
-        st.tables.counters.blocks_migrated += old_loc.chain.len() as u64;
-        Ok(new_loc)
-    }
-
-    /// Migrates every live chain off `server` (marked Draining first so
-    /// nothing new lands there), returning how many of its physical
-    /// blocks were moved. The server still holds no data afterwards and
-    /// can be deregistered.
-    fn drain_server_locked(&self, st: &mut CtrlState, server: ServerId) -> Result<u32> {
-        st.tables.freelist.mark_draining(server)?;
-        let mut migrated = 0u32;
-        loop {
-            let used = st.tables.freelist.used_blocks_on(server)?;
-            let Some(block) = used.first().copied() else {
-                break;
-            };
-            let Some((job, name, loc)) = Self::find_chain_of(st, block) else {
-                return Err(JiffyError::Internal(format!(
-                    "block blk-{} on draining srv-{} has no owning prefix",
-                    block.raw(),
-                    server.raw()
-                )));
-            };
-            self.migrate_logical(st, job, &name, &loc)?;
-            migrated += loc.chain.iter().filter(|r| r.server == server).count() as u32;
-        }
-        Ok(migrated)
+        // Best-effort: a dead source just means the client refreshes
+        // via `Unavailable` instead of `BlockMoved`.
+        let _ = self.dataplane.retire_block(old, new.head());
+        Ok(())
     }
 
     /// Re-routes everything homed on a failed server (heartbeat timeout
-    /// or explicit kill). Chains with surviving replicas are promoted in
-    /// place; wholly-lost chains reload the whole prefix from the
-    /// persistent tier when it was flushed and nothing else of it
-    /// survives, and otherwise keep their stale location so clients see
-    /// a clean, bounded `Unavailable` instead of a hang.
+    /// or explicit kill). Chains with surviving replicas are promoted to
+    /// them; a prefix with no surviving chain reloads from the persistent
+    /// tier when it was flushed, and otherwise keeps its stale chains and
+    /// their blocks, so clients see a clean, bounded `Unavailable`
+    /// instead of a hang.
     pub fn handle_server_failure(&self, server: ServerId) -> Result<()> {
         let mut st = self.state.lock();
         // Failure handling journals its re-routing under the state lock.
@@ -1663,127 +1628,61 @@ impl Controller {
         self.handle_server_failure_locked(&mut st, server)
     }
 
+    /// Decides the failure of `server` in (job, name, layout) order and
+    /// commits it as one batch — `ServerFailed`, a `ChainRewired` per
+    /// promotion, a reclaiming `PrefixFlushed` per prefix to reload — then
+    /// reloads those prefixes, each committed as a `PrefixLoaded` of its
+    /// own (a reload that fails leaves its prefix flushed).
     fn handle_server_failure_locked(&self, st: &mut CtrlState, server: ServerId) -> Result<()> {
-        let lost = st.tables.freelist.mark_dead(server)?;
-        st.detector.forget(server);
-        st.tables.counters.servers_failed += 1;
-        let mut seen: HashSet<BlockId> = HashSet::new();
-        let mut promotions: Vec<(JobId, String, BlockLocation, BlockLocation)> = Vec::new();
-        let mut wholly_dead: Vec<(JobId, String, BlockLocation)> = Vec::new();
-        for block in &lost {
-            let Some((job, name, loc)) = Self::find_chain_of(st, *block) else {
+        let freelist = &st.tables.freelist;
+        freelist.state_of(server)?; // an unknown server changes nothing
+        let alive = |r: &Replica| {
+            r.server != server
+                && freelist
+                    .state_of(r.server)
+                    .is_ok_and(|s| s != ServerState::Dead)
+        };
+        let mut ops = vec![JournalOp::ServerFailed { server }];
+        let mut lost_prefixes = BTreeSet::new();
+        for (job, name, old) in Self::chains_on(st, server) {
+            let (kept, lost): (Vec<Replica>, Vec<Replica>) =
+                old.chain.iter().cloned().partition(|r| alive(r));
+            if kept.is_empty() {
+                lost_prefixes.insert((job, name));
                 continue;
-            };
-            if !seen.insert(loc.id()) {
-                continue;
             }
-            let survivors: Vec<Replica> = loc
-                .chain
-                .iter()
-                .filter(|r| {
-                    st.tables
-                        .freelist
-                        .state_of(r.server)
-                        .is_ok_and(|s| s != ServerState::Dead)
-                })
-                .cloned()
-                .collect();
-            if survivors.is_empty() {
-                wholly_dead.push((job, name, loc));
-            } else if survivors.len() < loc.chain.len() {
-                promotions.push((job, name, loc.clone(), BlockLocation { chain: survivors }));
-            }
+            ops.push(JournalOp::ChainRewired {
+                job,
+                name,
+                old,
+                new: BlockLocation { chain: kept },
+                released: lost.iter().map(|r| r.block).collect(),
+            });
         }
-        for (job, name, old, new) in promotions {
-            let swapped = {
-                let Some(entry) = st.tables.jobs.get_mut(&job) else {
-                    continue;
-                };
-                let Ok(node) = entry.hierarchy.resolve_mut(&name) else {
-                    continue;
-                };
-                let Some(meta) = node.ds.as_mut() else {
-                    continue;
-                };
-                let ok = meta.replace_location(old.id(), new.clone()).is_ok();
-                if ok {
-                    node.version += 1;
-                }
-                ok
-            };
-            if swapped && old.id() != new.id() {
-                st.tables.block_owner.remove(&old.id());
-                st.tables.block_owner.insert(new.id(), (job, name.clone()));
-            }
-            let lost = old.chain.iter().filter(|r| r.server == server);
-            st.tables
-                .release(&lost.map(|r| r.block).collect::<Vec<_>>());
-        }
-        let mut reload_candidates: HashSet<(JobId, String)> = HashSet::new();
-        for (job, name, old) in &wholly_dead {
-            st.tables
-                .release(&journal::blocks_of(std::slice::from_ref(old)));
-            reload_candidates.insert((*job, name.clone()));
-        }
-        for (job, name) in reload_candidates {
-            let (reloadable, path) = {
-                let Some(entry) = st.tables.jobs.get(&job) else {
-                    continue;
-                };
-                let Ok(node) = entry.hierarchy.resolve(&name) else {
-                    continue;
-                };
-                let Some(meta) = &node.ds else {
-                    continue;
-                };
-                let all_dead = meta.locations().iter().all(|loc| {
-                    loc.chain.iter().all(|r| {
-                        !st.tables
-                            .freelist
-                            .state_of(r.server)
-                            .is_ok_and(|s| s != ServerState::Dead)
-                    })
+        let mut reloads = Vec::new();
+        for (job, name) in lost_prefixes {
+            let node = st.tables.job(job)?.hierarchy.resolve(&name)?;
+            let locs = node.ds.as_ref().map(DsMeta::locations).unwrap_or_default();
+            let wholly_lost = !locs.iter().any(|loc| loc.chain.iter().any(alive));
+            if let (true, Some(path)) = (wholly_lost, node.flushed_to.clone()) {
+                ops.push(JournalOp::PrefixFlushed {
+                    job,
+                    name: name.clone(),
+                    path: path.clone(),
+                    reclaimed: true,
+                    expired: false,
                 });
-                (
-                    all_dead && node.flushed_to.is_some(),
-                    node.flushed_to.clone(),
-                )
-            };
-            let (true, Some(path)) = (reloadable, path) else {
-                continue;
-            };
-            // Drop the dead incarnation, then restore the flushed image
-            // into fresh blocks on live servers.
-            let locations = {
-                let Some(entry) = st.tables.jobs.get(&job) else {
-                    continue;
-                };
-                let Ok(node) = entry.hierarchy.resolve(&name) else {
-                    continue;
-                };
-                node.ds.as_ref().map(DsMeta::locations).unwrap_or_default()
-            };
-            st.tables.release(&journal::blocks_of(&locations));
-            {
-                let Some(entry) = st.tables.jobs.get_mut(&job) else {
-                    continue;
-                };
-                let Ok(node) = entry.hierarchy.resolve_mut(&name) else {
-                    continue;
-                };
-                node.ds = None;
-                node.version += 1;
-            }
-            if let Ok((_, ops)) = self.load_prefix(st, job, &name, &path) {
-                for op in &ops {
-                    st.tables.apply_op(op)?;
-                }
+                reloads.push((job, name, path));
             }
         }
-        // Failure handling is a multi-step transition (promotions,
-        // releases, reloads); checkpoint the outcome wholesale.
-        let op = Self::rewrite_op(st)?;
-        self.apply_and_journal(st, vec![op])
+        self.apply_and_journal(st, ops)?;
+        st.detector.forget(server);
+        for (job, name, path) in reloads {
+            if let Ok((_, ops)) = self.load_prefix(st, job, &name, &path) {
+                self.apply_and_journal(st, ops)?;
+            }
+        }
+        Ok(())
     }
 
     /// One failure-detector sweep: servers whose last heartbeat is older
@@ -1880,6 +1779,8 @@ impl Controller {
                 }
             }
         }
+        // (job, name) order, so one history journals one record order.
+        expired.sort_unstable();
         for (job, name) in &expired {
             let path = format!("jiffy-expired/{}/{name}", job.raw());
             // The flush object is durable before the reclaim is
@@ -2680,6 +2581,95 @@ mod tests {
             assert!(split.is_err(), "{split:?}");
             assert_eq!(ctrl.state_mirror().normalized(), before);
         }
+    }
+
+    // ----- drain, merge and failure records --------------------------------
+
+    fn create_kv(ctrl: &Controller, job: JobId, chains: u32) {
+        ctrl.dispatch(ControlRequest::CreatePrefix {
+            job,
+            name: "kv".into(),
+            parents: vec![],
+            ds: Some(DsType::KvStore),
+            initial_blocks: chains,
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn a_merge_of_a_replicated_chain_releases_every_replica() {
+        let (ctrl, clock, store) = controller_with(JiffyConfig::for_testing().with_chain_length(2));
+        add_server(&ctrl, 4);
+        add_server(&ctrl, 4);
+        let job = register(&ctrl);
+        create_kv(&ctrl, job, 2);
+        assert_eq!(ctrl.stats().free_blocks, 4);
+        let second = ctrl.state_mirror().block_owner[1].0;
+        let merged = ctrl.dispatch(ControlRequest::ReportUnderload {
+            block: BlockId(second),
+            used: 1,
+        });
+        assert!(matches!(
+            merged,
+            Ok(ControlResponse::MergeTarget {
+                target: Some(_),
+                ..
+            })
+        ));
+        assert_eq!(
+            ctrl.stats().free_blocks,
+            6,
+            "both replicas of the source freed"
+        );
+        assert_eq!(ctrl.check_invariants(), Vec::<String>::new());
+        assert_recovered_matches(&ctrl, &recover(&clock, &store));
+    }
+
+    #[test]
+    fn a_drain_without_room_leaves_no_trace() {
+        let (ctrl, clock, store) = controller();
+        add_server(&ctrl, 4);
+        let job = register(&ctrl);
+        create_kv(&ctrl, job, 1);
+        let before = ctrl.state_mirror().normalized();
+        let drained = ctrl.dispatch(ControlRequest::LeaveServer {
+            server: ServerId(0),
+        });
+        assert!(
+            matches!(drained, Err(JiffyError::OutOfBlocks)),
+            "{drained:?}"
+        );
+        assert_eq!(ctrl.state_mirror().normalized(), before);
+        assert_recovered_matches(&ctrl, &recover(&clock, &store));
+    }
+
+    #[test]
+    fn a_failure_promotes_survivors_and_keeps_lost_chains_whole() {
+        let (ctrl, clock, store) = controller_with(JiffyConfig::for_testing().with_chain_length(2));
+        add_server(&ctrl, 4);
+        add_server(&ctrl, 4);
+        let job = register(&ctrl);
+        create_kv(&ctrl, job, 2);
+        let chains = |ctrl: &Controller| {
+            let node = &ctrl.state_mirror().jobs[0].nodes[0];
+            let locs = node.ds.as_ref().map(DsMeta::locations).unwrap();
+            let servers = |l: &BlockLocation| l.chain.iter().map(|r| r.server.raw()).collect();
+            (
+                node.version,
+                locs.iter().map(servers).collect::<Vec<Vec<u64>>>(),
+            )
+        };
+        assert_eq!(chains(&ctrl), (0, vec![vec![0, 1], vec![0, 1]]));
+        ctrl.handle_server_failure(ServerId(0)).unwrap();
+        assert_eq!(chains(&ctrl), (2, vec![vec![1], vec![1]]));
+        assert_recovered_matches(&ctrl, &recover(&clock, &store));
+        // Nothing survives the second death and nothing was flushed: the
+        // chains stay, their blocks still theirs.
+        ctrl.handle_server_failure(ServerId(1)).unwrap();
+        assert_eq!(chains(&ctrl), (2, vec![vec![1], vec![1]]));
+        assert_eq!(ctrl.stats().servers_failed, 2);
+        assert_eq!(ctrl.stats().free_blocks, 0);
+        assert_recovered_matches(&ctrl, &recover(&clock, &store));
     }
 
     // ----- crash recovery (DESIGN.md §11) -------------------------------

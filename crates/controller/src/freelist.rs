@@ -88,9 +88,9 @@ impl FreeList {
         if n == 0 {
             return Err(JiffyError::Internal("chain length must be >= 1".into()));
         }
-        if self.free.len().saturating_sub(taken.len()) < n {
-            return Err(JiffyError::OutOfBlocks);
-        }
+        // `taken` may hold blocks that are not free (a drain skips every
+        // block of the leaving server), so it only filters.
+        let taken: HashSet<&BlockId> = taken.iter().collect();
         let free = || self.free.iter().filter(|b| !taken.contains(b));
         // Greedy pass preferring distinct servers; fall back to whatever
         // is free if the cluster has fewer servers than replicas.
@@ -109,7 +109,9 @@ impl FreeList {
                 }
             }
         }
-        debug_assert_eq!(chosen.len(), n);
+        if chosen.len() < n {
+            return Err(JiffyError::OutOfBlocks);
+        }
         let mut chain = Vec::with_capacity(n);
         for block in chosen {
             chain.extend(self.location_of(block)?.chain);
@@ -211,6 +213,17 @@ impl FreeList {
         self.departed.contains(&server)
     }
 
+    /// Every block homed on `server`, in registration order.
+    ///
+    /// # Errors
+    ///
+    /// [`JiffyError::UnknownServer`] for unknown or departed servers.
+    pub fn blocks_on(&self, server: ServerId) -> Result<Vec<BlockId>> {
+        let entry = self.servers.get(&server);
+        let entry = entry.ok_or(JiffyError::UnknownServer(server.raw()))?;
+        Ok(entry.blocks.clone())
+    }
+
     /// Blocks homed on `server` that are currently allocated to a data
     /// structure (i.e. neither free nor parked).
     ///
@@ -218,16 +231,9 @@ impl FreeList {
     ///
     /// [`JiffyError::UnknownServer`] for unknown or departed servers.
     pub fn used_blocks_on(&self, server: ServerId) -> Result<Vec<BlockId>> {
-        let entry = self
-            .servers
-            .get(&server)
-            .ok_or(JiffyError::UnknownServer(server.raw()))?;
-        Ok(entry
-            .blocks
-            .iter()
-            .copied()
-            .filter(|b| !self.free.contains(b) && !self.parked.contains(b))
-            .collect())
+        let mut blocks = self.blocks_on(server)?;
+        blocks.retain(|b| !self.is_free(*b));
+        Ok(blocks)
     }
 
     /// Marks a server as draining: its free blocks are parked and it

@@ -14,8 +14,11 @@
 //! it touches neither the allocator's policy nor the data plane. Every
 //! arm checks before it mutates, so a record that cannot apply (and the
 //! request that produced it) leaves no trace. Drain, migration and
-//! failure handling are the exception: they mutate in place and journal
-//! a `StateRewritten` mirror of the result.
+//! failure handling are no exception: they journal `ServerDraining`,
+//! `ChainRewired`, `ServerFailed` and `ServerRemoved` records (plus the
+//! `PrefixFlushed` / `PrefixLoaded` pair of a reload). `StateRewritten`,
+//! the whole-state record older builds wrote for those three, is only
+//! ever decoded.
 //!
 //! Layout in the object store:
 //!
@@ -273,7 +276,8 @@ impl Tables {
     }
 
     /// Replaces every table with the contents of `mirror` (snapshot
-    /// install and `StateRewritten` replay); on error nothing changes.
+    /// install and the replay of an old `StateRewritten`); on error
+    /// nothing changes.
     fn install_mirror(&mut self, mirror: &StateMirror) -> Result<()> {
         let (index, count) = self.stride;
         let freelist = FreeList::from_mirror(&mirror.freelist)?;
@@ -517,6 +521,39 @@ impl Tables {
             }
             JournalOp::Answered { rid, resp } => {
                 record_answer(&mut self.answered, *rid, to_bytes(resp)?);
+            }
+            JournalOp::ServerDraining { server } => self.freelist.mark_draining(*server)?,
+            JournalOp::ServerFailed { server } => {
+                self.freelist.mark_dead(*server)?;
+                self.counters.servers_failed += 1;
+            }
+            JournalOp::ChainRewired {
+                job,
+                name,
+                old,
+                new,
+                released,
+            } => {
+                // A promotion keeps the survivors' blocks; a migration
+                // claims every block of the new chain.
+                let held = blocks_of(std::slice::from_ref(old));
+                let mut claimed = blocks_of(std::slice::from_ref(new));
+                claimed.retain(|b| !held.contains(b));
+                self.freelist.check_claim(&claimed)?;
+                let node = job_mut(&mut self.jobs, *job)?.hierarchy.resolve_mut(name)?;
+                let meta = node.ds.as_mut().ok_or_else(|| {
+                    JiffyError::Internal(format!("rewire record for ds-less prefix {name}"))
+                })?;
+                meta.replace_location(old.id(), new.clone())?;
+                node.version += 1;
+                self.release(released);
+                self.block_owner.remove(&old.id());
+                self.freelist.claim(&claimed)?;
+                self.block_owner.insert(new.id(), (*job, name.clone()));
+                self.counters.blocks_migrated += claimed.len() as u64;
+            }
+            JournalOp::ServerRemoved { server } => {
+                self.freelist.deregister_server(*server)?;
             }
         }
         Ok(())

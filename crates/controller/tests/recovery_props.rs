@@ -6,7 +6,9 @@
 //! records are seen twice. Part of every history arrives over the wire
 //! with client-stamped request ids, some of them retried, so "state"
 //! includes the replay window: the recovered shard must hold exactly the
-//! answers the live one recorded.
+//! answers the live one recorded. Histories also drain servers, kill
+//! them, and let every lease lapse, so the drain, failure and expiry
+//! transitions face the same three properties.
 
 // Test-only target: setup helpers outside `#[test]` fns may panic on
 // rig construction failure (the workspace `expect_used` lint is aimed
@@ -14,7 +16,7 @@
 #![allow(clippy::expect_used)]
 
 use jiffy_common::clock::{ManualClock, SharedClock};
-use jiffy_common::{BlockId, JiffyConfig};
+use jiffy_common::{BlockId, JiffyConfig, ServerId};
 use jiffy_controller::{Controller, NoopDataPlane, ShardedController, StateMirror};
 use jiffy_persistent::{MemObjectStore, ObjectStore};
 use jiffy_proto::{
@@ -39,7 +41,30 @@ fn path_of(arg: u8) -> String {
     }
 }
 
-/// One random control-plane action, decoded from an `(opcode, arg)` pair.
+/// One random action: a control request, or a transition no request
+/// starts.
+#[derive(Debug)]
+enum Action {
+    Request(ControlRequest),
+    /// A server death, as the failure detector declares it.
+    Kill(ServerId),
+    /// Every lease lapses, then the expiry worker runs once.
+    Expire,
+}
+
+/// Decodes an `(opcode, arg)` pair; server ids `arg % 4` cover the two
+/// seed servers and the first two joiners.
+fn action_for(job: jiffy_common::JobId, opcode: u8, arg: u8) -> Action {
+    let server = ServerId(u64::from(arg % 4));
+    match opcode % 14 {
+        11 => Action::Request(ControlRequest::LeaveServer { server }),
+        12 => Action::Kill(server),
+        13 => Action::Expire,
+        _ => Action::Request(request_for(job, opcode, arg)),
+    }
+}
+
+/// One random control request, decoded from an `(opcode, arg)` pair.
 fn request_for(job: jiffy_common::JobId, opcode: u8, arg: u8) -> ControlRequest {
     let name = name_of(arg);
     match opcode % 11 {
@@ -151,11 +176,15 @@ fn rig(cfg: JiffyConfig) -> Rig {
     )
     .expect("fresh controller");
     let ctrl = plane.shard(0);
-    ctrl.dispatch(ControlRequest::JoinServer {
-        addr: "inproc:seed".into(),
-        capacity_blocks: 8,
-    })
-    .expect("seed server");
+    // Two seed servers, so a drain has somewhere to go and a kill leaves
+    // a survivor.
+    for addr in ["inproc:seed", "inproc:spare"] {
+        ctrl.dispatch(ControlRequest::JoinServer {
+            addr: addr.into(),
+            capacity_blocks: 8,
+        })
+        .expect("seed server");
+    }
     let job = match ctrl
         .dispatch(ControlRequest::RegisterJob {
             name: "prop".into(),
@@ -186,20 +215,41 @@ fn recovered(r: &Rig) -> Arc<Controller> {
     .expect("recovery")
 }
 
-/// Plays a history. `mode % 4`: 0 dispatches untracked, 1 and 2 send an
-/// envelope with a fresh client rid, 3 re-sends the last such envelope
-/// (a client retry: same id, same request). Calls `after` with each
-/// request's outcome and the normalized mirrors before and after it.
+/// Plays a history. For a request, `mode % 4`: 0 dispatches untracked,
+/// 1 and 2 send an envelope with a fresh client rid, 3 re-sends the last
+/// such envelope (a client retry: same id, same request). Calls `after`
+/// with each action's outcome and the normalized mirrors before and
+/// after it.
 fn play_observed(
     r: &Rig,
     ops: &[(u8, u8, u8)],
-    mut after: impl FnMut(&ControlRequest, bool, &StateMirror, &StateMirror),
+    mut after: impl FnMut(&dyn std::fmt::Debug, bool, &StateMirror, &StateMirror),
 ) {
     let session = SessionHandle::new(Arc::new(|_| {}));
     let mut last: Option<Envelope> = None;
     for (i, (opcode, arg, mode)) in ops.iter().enumerate() {
-        let req = request_for(r.job, *opcode, *arg);
         let before = r.ctrl.state_mirror().normalized();
+        let req = match action_for(r.job, *opcode, *arg) {
+            Action::Request(req) => req,
+            action => {
+                let failed = match action {
+                    Action::Kill(server) => r.ctrl.handle_server_failure(server).is_err(),
+                    _ => {
+                        r.clock
+                            .advance(r.cfg.lease_duration + std::time::Duration::from_millis(1));
+                        r.ctrl.run_expiry_once();
+                        false
+                    }
+                };
+                after(
+                    &action,
+                    failed,
+                    &before,
+                    &r.ctrl.state_mirror().normalized(),
+                );
+                continue;
+            }
+        };
         // Individual requests may legitimately fail (duplicate create,
         // flush of a bare prefix, unknown block); the invariant under
         // test is journal fidelity, not op success.
@@ -234,7 +284,7 @@ fn play(r: &Rig, ops: &[(u8, u8, u8)]) {
 }
 
 fn history() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
-    proptest::collection::vec((0u8..11, any::<u8>(), any::<u8>()), 1..40)
+    proptest::collection::vec((0u8..14, any::<u8>(), any::<u8>()), 1..40)
 }
 
 fn assert_equivalent(live: &Controller, rec: &Controller) -> Result<(), TestCaseError> {
@@ -248,7 +298,9 @@ fn assert_equivalent(live: &Controller, rec: &Controller) -> Result<(), TestCase
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    // Drains, kills and expiries thin out the data a history holds, so
+    // it takes a few hundred histories for drains to migrate chains.
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Snapshot-every-3 means random histories routinely straddle
     /// several snapshot+truncate cycles; recovery must land on the live
@@ -295,9 +347,9 @@ proptest! {
     fn failed_requests_leave_no_trace(ops in history()) {
         let r = rig(JiffyConfig::for_testing().with_meta_snapshot_every(3));
         let mut traces = Vec::new();
-        play_observed(&r, &ops, |req, failed, before, after| {
+        play_observed(&r, &ops, |action, failed, before, after| {
             if failed && before != after {
-                traces.push(format!("{req:?}"));
+                traces.push(format!("{action:?}"));
             }
         });
         prop_assert!(traces.is_empty(), "failed requests changed state: {:?}", traces);

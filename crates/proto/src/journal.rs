@@ -183,15 +183,18 @@ pub enum JournalOp {
         released: Vec<BlockId>,
     },
     /// The autoscaler provisioned (`up`) or decommissioned (`!up`) a
-    /// server; logged for the scale counters (membership changes journal
-    /// separately via `ServerJoined` / `StateRewritten`).
+    /// server; logged for the scale counters only (membership changes
+    /// journal separately: `ServerJoined`, `ServerDraining`,
+    /// `ServerRemoved`).
     ScaleEvent {
         /// Scale-up vs. scale-down.
         up: bool,
     },
-    /// A multi-step transition (drain, failure handling) checkpointed the
-    /// entire controller state inline. Carries a wire-encoded controller
-    /// `StateMirror`; replay swaps it in wholesale.
+    /// Decoder only: builds before drain, migration and failure handling
+    /// journaled their outcomes record by record checkpointed the whole
+    /// controller state here, as a wire-encoded controller `StateMirror`
+    /// that replay swaps in wholesale. Nothing writes it any more; old
+    /// journals still replay it.
     StateRewritten {
         /// Wire-encoded controller state mirror.
         mirror: Vec<u8>,
@@ -219,6 +222,43 @@ pub enum JournalOp {
         /// The response acked to it.
         resp: ControlResponse,
     },
+    /// A server started draining (`LeaveServer`): its free blocks are
+    /// parked and it takes no new allocations. Appended last to keep
+    /// wire variant indices stable, like the three records after it.
+    ServerDraining {
+        /// The leaving server.
+        server: ServerId,
+    },
+    /// The failure detector (or an explicit kill) declared a server dead:
+    /// its free blocks are parked. Chains that lose a replica are
+    /// repaired by the `ChainRewired` records of the same batch; wholly
+    /// lost chains keep their blocks until their prefix is reloaded,
+    /// removed or its job deregistered.
+    ServerFailed {
+        /// The dead server.
+        server: ServerId,
+    },
+    /// One chain of a prefix moved to another set of blocks: a drain's
+    /// live migration (`new` is freshly allocated) or a failure's
+    /// promotion (`new` is the surviving replicas of `old`).
+    ChainRewired {
+        /// Owning job.
+        job: JobId,
+        /// Owning node.
+        name: String,
+        /// The chain as the layout held it.
+        old: BlockLocation,
+        /// The chain that replaces it.
+        new: BlockLocation,
+        /// Exactly the block ids of `old` released back to the freelist.
+        released: Vec<BlockId>,
+    },
+    /// A fully drained server left the membership table; its id is
+    /// tombstoned and its block ids disappear.
+    ServerRemoved {
+        /// The departed server.
+        server: ServerId,
+    },
 }
 
 /// A snapshot object: the controller's full metadata state as of
@@ -239,6 +279,16 @@ mod tests {
     use crate::messages::Replica;
     use crate::{from_bytes, to_bytes};
 
+    fn chain(block: u64) -> BlockLocation {
+        BlockLocation {
+            chain: vec![Replica {
+                block: BlockId(block),
+                server: ServerId(0),
+                addr: "inproc:0".into(),
+            }],
+        }
+    }
+
     #[test]
     fn records_round_trip_through_wire_format() {
         let batch = JournalBatch {
@@ -257,13 +307,7 @@ mod tests {
                         job: JobId(3),
                         name: "shuffle".into(),
                         parents: vec![],
-                        locs: vec![BlockLocation {
-                            chain: vec![Replica {
-                                block: BlockId(7),
-                                server: ServerId(0),
-                                addr: "inproc:0".into(),
-                            }],
-                        }],
+                        locs: vec![chain(7)],
                         skeleton: Some(vec![1, 2, 3]),
                         now_micros: 42,
                     },
@@ -294,6 +338,22 @@ mod tests {
                     op: JournalOp::Answered {
                         rid: 1 << 32,
                         resp: ControlResponse::JobRegistered { job: JobId(3) },
+                    },
+                },
+                JournalRecord {
+                    seq: 5,
+                    op: JournalOp::ChainRewired {
+                        job: JobId(3),
+                        name: "shuffle".into(),
+                        old: chain(7),
+                        new: chain(11),
+                        released: vec![BlockId(7)],
+                    },
+                },
+                JournalRecord {
+                    seq: 6,
+                    op: JournalOp::ServerRemoved {
+                        server: ServerId(0),
                     },
                 },
             ],
